@@ -17,6 +17,7 @@ CRC32.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 
@@ -45,8 +46,17 @@ def save_checkpoint(path, blobs: dict[str, np.ndarray], metadata: dict) -> None:
         parts.append(struct.pack(f"<{max(arr.ndim, 0)}I", *arr.shape))
         parts.append(_BLOB_TAIL.pack(zlib.crc32(data), len(data)))
         parts.append(data)
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+    # a crash mid-write must not leave a truncated file under the final
+    # name, where a resumed search would take it for the latest iteration
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(b"".join(parts))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 class _Reader:

@@ -7,6 +7,7 @@ acceptance check failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -216,9 +217,12 @@ def cmd_simulate(args) -> int:
 def _parse_peers(text: str) -> dict[int, tuple[str, int]]:
     peers = {}
     for item in text.split(","):
-        node, addr = item.split("=", 1)
-        host, port = addr.rsplit(":", 1)
-        peers[int(node)] = (host, int(port))
+        try:
+            node, addr = item.split("=", 1)
+            host, port = addr.rsplit(":", 1)
+            peers[int(node)] = (host, int(port))
+        except ValueError:
+            raise UsageError(f"bad address {item!r}; expected node=host:port") from None
     return peers
 
 
@@ -294,16 +298,19 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="construct a model and print parameter/FLOP accounting")
+    b.set_defaults(func=cmd_build)
     _add_config_args(b)
 
     for name in ("search", "random-search"):
         s = sub.add_parser(name, help=f"run the {'controller' if name == 'search' else 'random-sampler'} search loop")
+        s.set_defaults(func=functools.partial(cmd_search, use_controller=name == "search"))
         _add_config_args(s)
         s.add_argument("--out", help="output directory (default from config)")
         s.add_argument("--warm-start", help="checkpoint with initial shared weights")
         s.add_argument("--resume", action="store_true", help="continue from the latest iteration checkpoint")
 
     f = sub.add_parser("finetune", help="fine-tune a checkpoint under a frozen policy")
+    f.set_defaults(func=cmd_finetune)
     _add_config_args(f)
     f.add_argument("--checkpoint", required=True)
     f.add_argument("--policy", required=True)
@@ -311,6 +318,7 @@ def build_parser() -> _Parser:
     f.add_argument("--out")
 
     c = sub.add_parser("commcost", help="per-inference transmission volume report")
+    c.set_defaults(func=cmd_commcost)
     _add_config_args(c)
     c.add_argument("--alpha", type=int)
     c.add_argument("--dtype", choices=("f32", "f16"), default="f32")
@@ -319,6 +327,7 @@ def build_parser() -> _Parser:
     c.add_argument("--out")
 
     fe = sub.add_parser("feasibility", help="can transmissions hide behind computation?")
+    fe.set_defaults(func=cmd_feasibility)
     _add_config_args(fe)
     fe.add_argument("--alpha", type=int)
     fe.add_argument("--flops", type=float, help="per-node compute rate, FLOP/s")
@@ -328,6 +337,7 @@ def build_parser() -> _Parser:
     fe.add_argument("--policy")
 
     si = sub.add_parser("simulate", help="event-driven latency timeline and speedup")
+    si.set_defaults(func=cmd_simulate)
     _add_config_args(si)
     si.add_argument("--alpha", type=int)
     si.add_argument("--flops", type=float)
@@ -338,6 +348,7 @@ def build_parser() -> _Parser:
     si.add_argument("--out")
 
     w = sub.add_parser("worker", help="serve one partition over TCP")
+    w.set_defaults(func=cmd_worker)
     w.add_argument("--node-id", type=int, required=True)
     w.add_argument("--num-nodes", type=int, required=True)
     w.add_argument("--port", type=int, default=0)
@@ -349,6 +360,7 @@ def build_parser() -> _Parser:
     w.add_argument("--timeout", type=float, default=30.0)
 
     i = sub.add_parser("infer", help="broadcast an image to a running cluster")
+    i.set_defaults(func=cmd_infer)
     i.add_argument("--workers", required=True, help="0=host:port,1=host:port,...")
     i.add_argument("--num-nodes", type=int, required=True)
     i.add_argument("--policy", required=True)
@@ -357,6 +369,7 @@ def build_parser() -> _Parser:
 
     v = sub.add_parser("verify-equivalence",
                        help="hosted partition run vs the single-process reference")
+    v.set_defaults(func=cmd_verify_equivalence)
     _add_config_args(v)
     v.add_argument("--checkpoint")
     v.add_argument("--policy")
@@ -365,6 +378,7 @@ def build_parser() -> _Parser:
     v.add_argument("--tolerance", type=float, default=0.0)
 
     r = sub.add_parser("report", help="merge run logs into comparable curves")
+    r.set_defaults(func=cmd_report)
     r.add_argument("--logs", nargs="+", required=True)
     r.add_argument("--labels", nargs="+")
     r.add_argument("--out", required=True)
@@ -375,29 +389,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "build":
-            return cmd_build(args)
-        if args.command == "search":
-            return cmd_search(args, use_controller=True)
-        if args.command == "random-search":
-            return cmd_search(args, use_controller=False)
-        if args.command == "finetune":
-            return cmd_finetune(args)
-        if args.command == "commcost":
-            return cmd_commcost(args)
-        if args.command == "feasibility":
-            return cmd_feasibility(args)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        if args.command == "worker":
-            return cmd_worker(args)
-        if args.command == "infer":
-            return cmd_infer(args)
-        if args.command == "verify-equivalence":
-            return cmd_verify_equivalence(args)
-        if args.command == "report":
-            return cmd_report(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -26,6 +26,7 @@ receiver-side zero-fill rule for sparsified messages.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,6 +157,16 @@ class Bottleneck:
         if self.ds_conv is None:
             return dx + d
         return dx + self.ds_conv.backward(self.ds_bn.backward(d))
+
+    def slice(self, p: int) -> "Bottleneck":
+        """Partition ``p`` as a one-partition block that shares its arrays."""
+        part = copy.copy(self)
+        g = self.conv1.partitions
+        part.in_ch, part.out_ch = self.in_ch // g, self.out_ch // g
+        for name, layer in self.sublayers():
+            setattr(part, name, layer.slice(p))
+        part.relu1, part.relu2, part.relu_out = nn.ReLU(), nn.ReLU(), nn.ReLU()
+        return part
 
     def sublayers(self):
         out = [("conv1", self.conv1), ("bn1", self.bn1), ("conv2", self.conv2),
@@ -389,18 +400,6 @@ class Network:
         return dh
 
 
-def build_resnext(spec: ModelSpec, seed: int = 0) -> Network:
-    """Plain (unpartitioned) network; requires G = 1."""
-    if spec.partitions != 1:
-        raise ConfigError(f"plain builder requires partitions=1, got {spec.partitions}")
-    return Network(spec, seed)
-
-
-def build_sep_resnext(spec: ModelSpec, seed: int = 0) -> Network:
-    """Separable network for ``spec.partitions`` compute nodes."""
-    return Network(spec, seed)
-
-
 # -- accounting ------------------------------------------------------------
 
 
@@ -527,24 +526,6 @@ def count_flops(spec: ModelSpec) -> FlopReport:
 # -- partition extraction ---------------------------------------------------
 
 
-def _slice_conv(conv: nn.Conv2d, node: int, g: int) -> nn.Conv2d:
-    local = nn.Conv2d(conv.in_ch // g, conv.out_ch // g, conv.ksize, conv.stride,
-                      groups=conv.groups // g, partitions=1)
-    local.w[0] = conv.w[node]
-    local.gw[0] = conv.gw[node]
-    return local
-
-
-def _slice_bn(bn: nn.BatchNorm2d, node: int, g: int) -> nn.BatchNorm2d:
-    local = nn.BatchNorm2d(bn.channels // g, partitions=1)
-    local.gamma[0] = bn.gamma[node]
-    local.beta[0] = bn.beta[node]
-    local.rmean[0] = bn.rmean[node]
-    local.rvar[0] = bn.rvar[node]
-    local.initialized = bn.initialized
-    return local
-
-
 class PartitionExecutor:
     """Eval-mode execution of one partition's channel slice.
 
@@ -561,25 +542,7 @@ class PartitionExecutor:
         self.node = node
         self.g = net.G
         self.stem_conv, self.stem_bn = net.stem_conv, net.stem_bn
-        self.blocks = []
-        for blk in net.blocks:
-            local = Bottleneck.__new__(Bottleneck)
-            local.in_ch = blk.in_ch // net.G
-            local.out_ch = blk.out_ch // net.G
-            local.stride = blk.stride
-            local.conv1 = _slice_conv(blk.conv1, node, net.G)
-            local.bn1 = _slice_bn(blk.bn1, node, net.G)
-            local.conv2 = _slice_conv(blk.conv2, node, net.G)
-            local.bn2 = _slice_bn(blk.bn2, node, net.G)
-            local.conv3 = _slice_conv(blk.conv3, node, net.G)
-            local.bn3 = _slice_bn(blk.bn3, node, net.G)
-            local.relu1, local.relu2, local.relu_out = nn.ReLU(), nn.ReLU(), nn.ReLU()
-            if blk.ds_conv is not None:
-                local.ds_conv = _slice_conv(blk.ds_conv, node, net.G)
-                local.ds_bn = _slice_bn(blk.ds_bn, node, net.G)
-            else:
-                local.ds_conv = local.ds_bn = None
-            self.blocks.append(local)
+        self.blocks = [blk.slice(node) for blk in net.blocks]
         self.fc = net.fc if node == 0 else None
         self.gap = nn.GlobalAvgPool() if node == 0 else None
         self.keep_ch = net.keep_ch

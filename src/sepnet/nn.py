@@ -14,6 +14,8 @@ network reproduces the full-width forward pass bit for bit.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from .errors import ConfigError, NumericsError, SepnetError, ShapeError, UninitializedStatsError
@@ -136,6 +138,16 @@ class Conv2d:
             return np.ascontiguousarray(dxp[:, :, self.pad : hp - self.pad, self.pad : wp - self.pad])
         return dxp
 
+    def slice(self, p: int) -> "Conv2d":
+        """Partition ``p`` as a one-partition conv that shares its arrays."""
+        part = copy.copy(self)
+        g = self.partitions
+        part.in_ch, part.out_ch, part.groups = self.in_ch // g, self.out_ch // g, self.groups // g
+        part.partitions = 1
+        part.w, part.gw = [self.w[p]], [self.gw[p]]
+        part._cache = None
+        return part
+
     def params(self):
         if self.partitions == 1:
             return [("w", self.w[0])]
@@ -238,6 +250,18 @@ class BatchNorm2d:
                 n * dyp - db[None, :, None, None] - norm * dg[None, :, None, None])
         self._cache = None
         return dx
+
+    def slice(self, p: int) -> "BatchNorm2d":
+        """Partition ``p`` as a one-partition batchnorm that shares its arrays.
+
+        Train mode rebinds the running statistics to new arrays, so a slice
+        reads the statistics current when it was taken."""
+        part = copy.copy(self)
+        part.channels, part.partitions = self.channels // self.partitions, 1
+        for name in ("gamma", "beta", "rmean", "rvar", "ggamma", "gbeta"):
+            setattr(part, name, [getattr(self, name)[p]])
+        part._cache = None
+        return part
 
     def _suffix(self, base: str, p: int) -> str:
         return base if self.partitions == 1 else f"{base}{p}"

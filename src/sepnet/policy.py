@@ -212,8 +212,8 @@ def policy_from_text(text: str) -> PolicySequence:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
     if not lines:
         raise ConfigError("empty policy file")
-    header = dict(kv.split("=", 1) for kv in lines[0].split())
     try:
+        header = dict(kv.split("=", 1) for kv in lines[0].split())
         g = int(header["G"])
         alpha = int(header["alpha"])
         levels = int(header["levels"])
@@ -222,10 +222,13 @@ def policy_from_text(text: str) -> PolicySequence:
         raise ConfigError(f"bad policy header {lines[0]!r}: {exc}") from exc
     pairs = []
     for idx, ln in enumerate(lines[1:]):
-        parts = ln.split()
-        if len(parts) != 3 or int(parts[0]) != idx:
+        try:
+            pos, cid, sid = map(int, ln.split())
+        except ValueError:
+            pos = None
+        if pos != idx:
             raise ConfigError(f"bad policy line {ln!r} (expected '{idx} <comm_id> <sparsity_id>')")
-        pairs.append((int(parts[1]), int(parts[2])))
+        pairs.append((cid, sid))
     return policy_from_ids(pairs, g, alpha, levels, p_min)
 
 

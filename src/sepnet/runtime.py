@@ -5,12 +5,13 @@ Deployment shapes
 * one process per partition: ``run_worker`` serves a partition over TCP;
   a ``Coordinator`` broadcasts the input image to every worker and reads
   the logits (and a timing report) back from node 0.
-* all partitions in one process: ``run_hosted`` drives the same per-node
-  sessions lockstep with in-memory mailboxes.
+* all partitions in one process: ``run_hosted`` takes turns among the
+  per-node drivers and passes their messages through an in-memory mailbox.
 
-Both paths execute ``PartitionSession`` and push every feature chunk
-through the wire codec, so a hosted run is byte-identical to a socket
-run, and both match ``single_process_reference`` on the full-width graph.
+Both paths run ``_drive``, the one loop over transmission boundaries, and
+push every feature chunk through the wire codec, so a hosted run is
+byte-identical to a socket run, and both match
+``single_process_reference`` on the full-width graph.
 
 Protocol
 --------
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import wire
-from .errors import ConfigError, HandshakeError, PeerFailureError
+from .errors import ConfigError, HandshakeError, PeerFailureError, SepnetError
 from .models import Network, PartitionExecutor, adapt_chunk
 from .policy import PolicySequence, n_send
 from .checkpoint import load_model
@@ -123,65 +124,65 @@ class PartitionSession:
         return logits
 
 
-def _drive(session: PartitionSession, x: np.ndarray, recv, send) -> np.ndarray | None:
-    """Run one inference: ``recv(step) -> bytes`` blocks, ``send(step, dst, raw)``.
+def _drive(session: PartitionSession, x: np.ndarray, send):
+    """Run one inference of ``session`` on ``x`` as a generator.
 
+    It yields each step whose incoming message it needs next and must be
+    resumed with that message's raw frame; ``send(step, dst, raw)`` takes
+    its outgoing frames. It returns the logits on node 0, else ``None``.
     At every boundary the pending message from the previous step is
     aggregated first, then the fresh chunk is captured from the updated
-    feature and handed to ``send``; the final step's message is aggregated
-    after the last block, just before the head.
+    feature and sent; the final step's message is aggregated after the
+    last block, just before the head.
     """
-    spec = session.ex.spec
     session.start(x)
-    n_steps = len(session.boundaries)
     for step, block in enumerate(session.boundaries):
         session.compute_to(block)
         if step >= 1 and session.expected_source(step - 1) is not None:
-            session.aggregate(step - 1, recv(step - 1))
+            session.aggregate(step - 1, (yield step - 1))
         out = session.capture(step)
         if out is not None:
-            send(step, out[0], out[1])
-    session.compute_to(spec.num_blocks)
-    if n_steps and session.expected_source(n_steps - 1) is not None:
-        session.aggregate(n_steps - 1, recv(n_steps - 1))
-    if session.node == 0:
-        return session.head()
-    return None
+            send(step, *out)
+    session.compute_to(session.ex.spec.num_blocks)
+    last = len(session.boundaries) - 1
+    if last >= 0 and session.expected_source(last) is not None:
+        session.aggregate(last, (yield last))
+    return session.head() if session.node == 0 else None
 
 
 def run_hosted(net: Network, policy: PolicySequence, x: np.ndarray, dtype: str = "f32",
                message_log: list | None = None) -> np.ndarray:
-    """All partitions in one process, lockstep, through the full wire codec."""
-    g = net.G
-    sessions = [PartitionSession(PartitionExecutor(net, node), policy, dtype)
-                for node in range(g)]
+    """All partitions in one process, in turns, through the full wire codec."""
     mailbox: dict[tuple[int, int], bytes] = {}
-    for s in sessions:
-        s.start(x)
-    boundaries = net.spec.boundaries()
-    for step, block in enumerate(boundaries):
-        for s in sessions:
-            s.compute_to(block)
-        if step >= 1:
-            for s in sessions:
-                if s.expected_source(step - 1) is not None:
-                    s.aggregate(step - 1, mailbox.pop((step - 1, s.node)))
-        for s in sessions:
-            out = s.capture(step)
-            if out is not None:
-                dst, raw = out
-                mailbox[(step, dst)] = raw
-                if message_log is not None:
-                    message_log.append(raw)
-    last = len(boundaries) - 1
-    for s in sessions:
-        s.compute_to(net.spec.num_blocks)
-    if boundaries:
-        for s in sessions:
-            if s.expected_source(last) is not None:
-                s.aggregate(last, mailbox.pop((last, s.node)))
-    assert not mailbox, "undelivered messages left in the mailbox"
-    return sessions[0].head()
+
+    def send(step: int, dst: int, raw: bytes) -> None:
+        mailbox[(step, dst)] = raw
+        if message_log is not None:
+            message_log.append(raw)
+
+    runs = {node: _drive(PartitionSession(PartitionExecutor(net, node), policy, dtype), x, send)
+            for node in range(net.G)}
+    waiting: dict[int, tuple[int, int] | None] = dict.fromkeys(runs)
+    logits = None
+    while runs:
+        ready = [node for node, key in waiting.items() if key is None or key in mailbox]
+        if not ready:
+            raise PeerFailureError("hosted run stalled: " + ", ".join(
+                f"node {node} waits for step {key[0]}" for node, key in waiting.items()))
+        for node in ready:
+            key = waiting[node]
+            try:
+                step = runs[node].send(None if key is None else mailbox.pop(key))
+            except StopIteration as done:
+                del runs[node], waiting[node]
+                if node == 0:
+                    logits = done.value
+            else:
+                waiting[node] = (step, node)
+    if mailbox:
+        raise PeerFailureError("undelivered messages: " + ", ".join(
+            f"step {step} to node {dst}" for step, dst in sorted(mailbox)))
+    return logits
 
 
 # -- sockets -------------------------------------------------------------------
@@ -198,11 +199,10 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 
 
 def _read_frame(sock: socket.socket) -> tuple[bytes, wire.MsgMeta]:
+    """One whole frame; the header is checked before its payload is read."""
     header = _recv_exact(sock, wire.HEADER.size)
-    payload_len = wire.HEADER.unpack(header)[-1]
-    raw = header + _recv_exact(sock, payload_len)
-    _, meta = wire.decode_msg(raw)
-    return raw, meta
+    meta = wire.decode_header(header)
+    return header + _recv_exact(sock, meta.payload_len), meta
 
 
 @dataclass
@@ -248,6 +248,11 @@ class _PeerLinks:
         threading.Thread(target=self._recv_loop, args=(peer, sock), daemon=True).start()
 
     def _recv_loop(self, peer: int, sock: socket.socket) -> None:
+        """Read frames from one peer or the coordinator until the link fails.
+
+        A corrupt frame leaves the stream unusable, so it closes the link
+        and marks the peer dead like a disconnect, which fails a waiting
+        inference at once."""
         try:
             while True:
                 raw, meta = _read_frame(sock)
@@ -267,7 +272,8 @@ class _PeerLinks:
                         self.cond.wait(left)
                     self.inbox[meta.step_index] = raw
                     self.cond.notify_all()
-        except (PeerFailureError, OSError):
+        except (SepnetError, OSError):
+            sock.close()
             with self.cond:
                 if self.conns.get(peer) is sock:
                     self.dead.add(peer)
@@ -347,18 +353,10 @@ class Worker:
                 continue
             if peer == COORD_ID:
                 self.coordinator = sock
-                threading.Thread(target=self._coordinator_recv, args=(sock,), daemon=True).start()
+                threading.Thread(target=self.links._recv_loop, args=(peer, sock),
+                                 daemon=True).start()
             else:
                 self.links.register(peer, sock)
-
-    def _coordinator_recv(self, sock: socket.socket) -> None:
-        try:
-            while True:
-                raw, meta = _read_frame(sock)
-                if meta.step_index == wire.STEP_INPUT:
-                    self.input_queue.put(raw)
-        except (PeerFailureError, OSError):
-            pass
 
     def _dial(self, peer: int) -> bool:
         host, port = self.cfg.peers[peer]
@@ -417,18 +415,17 @@ class Worker:
         chunk, meta = wire.decode_msg(raw_input)
         x = chunk[None]  # wire frames carry exactly one image
         sess = self.session
-
-        def recv(step: int) -> bytes:
-            src = sess.expected_source(step)
+        run = _drive(sess, x, lambda step, dst, raw: self.send_queue.put((dst, raw)))
+        raw = None
+        while True:
+            try:
+                step = run.send(raw)
+            except StopIteration as done:
+                logits = done.value
+                break
             t0 = time.perf_counter()
-            raw = self.links.wait_for(step, src, self.cfg.recv_timeout)
+            raw = self.links.wait_for(step, sess.expected_source(step), self.cfg.recv_timeout)
             sess.timing["wait"] += time.perf_counter() - t0
-            return raw
-
-        def send(step: int, dst: int, raw: bytes) -> None:
-            self.send_queue.put((dst, raw))
-
-        logits = _drive(sess, x, recv, send)
         sess.timing["total"] = time.perf_counter() - t_start
         accounted = sum(sess.timing[k] for k in TIMING_FIELDS if k not in ("other", "total"))
         sess.timing["other"] = max(0.0, sess.timing["total"] - accounted)

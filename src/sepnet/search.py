@@ -26,18 +26,9 @@ from . import nn, perf
 from .controller import Controller, baseline_update
 from .data import Dataset
 from .errors import ConfigError
-from .models import ModelSpec, Network, build_sep_resnext
+from .models import ModelSpec, Network
 from .policy import PolicySequence, policy_from_ids, save_policy
 from .rng import make_rng
-
-# schedule the original (non-separable) baselines were trained with; far
-# beyond desk scale, kept for reference and config presets
-PAPER_PRESET = {
-    "meta_iterations": 60, "shared_epochs_per_iter": 1, "controller_steps": 500,
-    "candidates": 100, "batch_size": 128, "finetune_lr": 1e-4, "finetune_epochs": 45,
-    "base_lr": 0.1, "lr_decay": 0.1, "lr_decay_every_epochs": 50, "total_epochs": 200,
-}
-
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -220,7 +211,7 @@ def run_search(cfg: SearchConfig, model_spec: ModelSpec, data: Dataset,
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     g = model_spec.partitions
-    net = build_sep_resnext(model_spec, seed=cfg.seed)
+    net = Network(model_spec, seed=cfg.seed)
     ctl = Controller(g, cfg.levels, cfg.p_min, cfg.controller_hidden,
                      seed=cfg.seed, entropy_coef=cfg.entropy_coef) if use_controller else None
     sampler = ctl if use_controller else _UniformSampler(g, cfg.levels, cfg.p_min)

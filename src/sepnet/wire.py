@@ -83,8 +83,8 @@ def encode_msg(chunk: np.ndarray, *, step_index: int, source: int, dest: int,
     return header + payload
 
 
-def decode_msg(buf: bytes) -> tuple[np.ndarray, MsgMeta]:
-    """Parse a message; returns the zero-filled full-width chunk and its meta."""
+def decode_header(buf: bytes) -> MsgMeta:
+    """Parse and check the fixed-size header at the start of ``buf``."""
     if len(buf) < HEADER.size:
         raise FramingError(f"message shorter than the {HEADER.size}-byte header", len(buf))
     magic, version, step, source, dest, dtype, c_sent, c_total, h, w, payload_len = \
@@ -97,24 +97,23 @@ def decode_msg(buf: bytes) -> tuple[np.ndarray, MsgMeta]:
         raise FramingError(f"unknown dtype code {dtype}", 9)
     if c_sent > c_total:
         raise FramingError(f"channels_sent {c_sent} exceeds channels_total {c_total}", 10)
-    want = c_sent * h * w * _DTYPE_BYTES[dtype]
-    if payload_len != want:
-        raise FramingError(f"payload_len {payload_len} != {want} implied by the header", 19)
-    if len(buf) != HEADER.size + payload_len:
-        raise FramingError(f"message is {len(buf)} bytes, header implies {HEADER.size + payload_len}",
-                           min(len(buf), HEADER.size + payload_len))
     meta = MsgMeta(step, source, dest, dtype, c_sent, c_total, h, w)
-    raw = np.frombuffer(buf, dtype=_DTYPE_NP[dtype], count=c_sent * h * w, offset=HEADER.size)
-    chunk = np.zeros((c_total, h, w), dtype=np.float32)
-    chunk[:c_sent] = raw.astype(np.float32).reshape(c_sent, h, w)
+    if payload_len != meta.payload_len:
+        raise FramingError(f"payload_len {payload_len} != {meta.payload_len} implied by the header", 19)
+    return meta
+
+
+def decode_msg(buf: bytes) -> tuple[np.ndarray, MsgMeta]:
+    """Parse a message; returns the zero-filled full-width chunk and its meta."""
+    meta = decode_header(buf)
+    size = HEADER.size + meta.payload_len
+    if len(buf) != size:
+        raise FramingError(f"message is {len(buf)} bytes, header implies {size}", min(len(buf), size))
+    c, h, w = meta.channels_sent, meta.height, meta.width
+    raw = np.frombuffer(buf, dtype=_DTYPE_NP[meta.dtype], count=c * h * w, offset=HEADER.size)
+    chunk = np.zeros((meta.channels_total, h, w), dtype=np.float32)
+    chunk[:c] = raw.astype(np.float32).reshape(c, h, w)
     return chunk, meta
-
-
-def read_msg_from(recv_exact) -> tuple[np.ndarray, MsgMeta]:
-    """Decode one message from a stream via ``recv_exact(n) -> bytes``."""
-    header = recv_exact(HEADER.size)
-    payload_len = HEADER.unpack(header)[-1]
-    return decode_msg(header + recv_exact(payload_len))
 
 
 def encode_handshake(node_id: int, num_nodes: int, policy_hash: bytes) -> bytes:

@@ -43,8 +43,8 @@ def test_criterion_1_parameter_accounting(rng):
         net = models.Network(spec, seed=0)
         want = sum(models.block_formula_params(spec, b) for b in range(1, spec.num_blocks + 1))
         assert models.count_params_enumerated(net, "conv_no_ds") == want, spec
-    plain = models.count_params_enumerated(models.build_resnext(TABLE, seed=0))
-    sep = models.count_params_enumerated(models.build_sep_resnext(TABLE_SEP, seed=0))
+    plain = models.count_params_enumerated(models.Network(TABLE, seed=0))
+    sep = models.count_params_enumerated(models.Network(TABLE_SEP, seed=0))
     overhead = sep / plain - 1
     assert 0.0 <= overhead <= 0.08, overhead
     assert time.time() - t0 < 60

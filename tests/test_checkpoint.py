@@ -1,3 +1,6 @@
+import io
+import os
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,23 @@ def test_save_load_save_byte_identical(tmp_path, rng):
     meta, loaded = ckpt.load_checkpoint(p1)
     ckpt.save_checkpoint(p2, loaded, meta)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, rng):
+    path = tmp_path / "iter001.snnc"
+    ckpt.save_checkpoint(path, {"w": rng.standard_normal(64).astype(np.float32)}, {"v": 1})
+    before = path.read_bytes()
+
+    class HalfWriter(io.FileIO):
+        def write(self, data):
+            super().write(data[: len(data) // 2])
+            raise OSError("no space left on device")
+
+    monkeypatch.setattr(ckpt, "open", HalfWriter, raising=False)
+    with pytest.raises(OSError, match="no space"):
+        ckpt.save_checkpoint(path, {"w": rng.standard_normal(64).astype(np.float32)}, {"v": 2})
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["iter001.snnc"]
 
 
 def test_truncated_file_clean_error(tmp_path, rng):

@@ -89,6 +89,12 @@ class TestCommands:
     def test_unknown_command_is_usage_error(self):
         assert cli.main(["frobnicate"]) == 1
 
+    @pytest.mark.parametrize("peers", ["0=localhost", "x=127.0.0.1:1"])
+    def test_malformed_peer_table_is_usage_error(self, peers, capsys):
+        assert cli.main(["worker", "--node-id", "0", "--num-nodes", "2", "--peers", peers,
+                         "--checkpoint", "m.snnc", "--policy", "p.policy"]) == 1
+        assert "node=host:port" in capsys.readouterr().err
+
     def test_missing_config_is_runtime_error(self):
         assert cli.main(["build", "--config", "/nonexistent/x.cfg"]) == 2
 

@@ -64,39 +64,35 @@ class TestBuild:
         spec = models.ModelSpec(stages=1, blocks_per_stage=1, cardinality=2,
                                 bottleneck_width=2, partitions=1, num_classes=3,
                                 alpha=1, in_hw=(8, 8))
-        net = models.build_resnext(spec, seed=0)
+        net = models.Network(spec, seed=0)
         x = rng.standard_normal((2, 3, 8, 8)).astype(F32)
         assert net.forward(x, train=True).shape == (2, 3)
-
-    def test_plain_builder_rejects_partitions(self):
-        with pytest.raises(ConfigError):
-            models.build_resnext(TABLE_SEP)
 
     def test_sep_g1_matches_plain_bitwise(self, rng):
         spec = models.ModelSpec(stages=2, blocks_per_stage=2, cardinality=4,
                                 bottleneck_width=4, partitions=1, num_classes=5,
                                 alpha=2, in_hw=(8, 8))
-        a = models.build_resnext(spec, seed=11)
-        b = models.build_sep_resnext(spec, seed=11)
+        a = models.Network(spec, seed=11)
+        b = models.Network(spec, seed=11)
         x = rng.standard_normal((2, 3, 8, 8)).astype(F32)
         assert np.array_equal(a.forward(x, train=True), b.forward(x, train=True))
 
     def test_table1_sep_structure(self):
-        net = models.build_sep_resnext(TABLE_SEP, seed=0)
+        net = models.Network(TABLE_SEP, seed=0)
         blk = net.blocks[6]  # second stage
         assert blk.conv1.groups == 4 and blk.conv2.groups == 8 and blk.conv3.groups == 4
-        plain = models.build_resnext(TABLE, seed=0)
+        plain = models.Network(TABLE, seed=0)
         # separable in/out widths are G times the plain column
         assert blk.in_ch == 4 * plain.blocks[6].in_ch
         assert blk.out_ch == 4 * plain.blocks[6].out_ch
         assert blk.conv2.in_ch == plain.blocks[6].conv2.in_ch  # middle unchanged
 
     def test_classifier_reads_first_slice(self, rng):
-        net = models.build_sep_resnext(TINY, seed=5)
+        net = models.Network(TINY, seed=5)
         x = rng.standard_normal((2, 3, 8, 8)).astype(F32)
         got = net.forward(x, train=True)
         # oracle: drive the layers by hand and slice the full feature map
-        ref = models.build_sep_resnext(TINY, seed=5)
+        ref = models.Network(TINY, seed=5)
         h = ref.stem_relu.forward(ref.stem_bn.forward(ref.stem_conv.forward(x, True), True), True)
         h = np.concatenate([h] * 4, axis=1)
         for blk in ref.blocks:
@@ -107,7 +103,7 @@ class TestBuild:
         assert np.array_equal(got, want)
 
     def test_param_ownership_partition_or_shared(self):
-        net = models.build_sep_resnext(TINY, seed=0)
+        net = models.Network(TINY, seed=0)
         owners = {name: net.param_owner(name) for name, _ in net.named_params()}
         assert owners["stem.conv.w"] == "shared"
         assert owners["head.fc.w"] == "shared"
@@ -121,7 +117,7 @@ class TestBuild:
 
 class TestParamCounts:
     def test_single_1x1_conv(self):
-        net = models.build_resnext(models.ModelSpec(stages=1, blocks_per_stage=1,
+        net = models.Network(models.ModelSpec(stages=1, blocks_per_stage=1,
                                                     cardinality=2, bottleneck_width=2,
                                                     num_classes=2, alpha=1, in_hw=(4, 4)))
         counted = models.count_params_enumerated(net, "conv_no_ds")
@@ -134,14 +130,14 @@ class TestParamCounts:
         assert models.count_params_formula(64, 64, 4, 2, 3) == 2 * (256 + 144 + 256)
 
     def test_partitioning_leaves_conv_count_unchanged(self):
-        plain = models.build_resnext(TABLE, seed=0)
-        sep = models.build_sep_resnext(TABLE_SEP, seed=0)
+        plain = models.Network(TABLE, seed=0)
+        sep = models.Network(TABLE_SEP, seed=0)
         assert (models.count_params_enumerated(plain, "conv_no_ds")
                 == models.count_params_enumerated(sep, "conv_no_ds"))
 
     def test_table1_totals_and_overhead_band(self):
-        plain = models.count_params_enumerated(models.build_resnext(TABLE, seed=0))
-        sep = models.count_params_enumerated(models.build_sep_resnext(TABLE_SEP, seed=0))
+        plain = models.count_params_enumerated(models.Network(TABLE, seed=0))
+        sep = models.count_params_enumerated(models.Network(TABLE_SEP, seed=0))
         assert abs(plain / 4.39e6 - 1) < 0.05
         assert abs(sep / 4.54e6 - 1) < 0.05
         assert 0.0 <= sep / plain - 1 <= 0.08
@@ -179,7 +175,7 @@ class TestFlops:
 
 class TestTransmissions:
     def test_all_self_send_equals_no_policy(self, rng):
-        net = models.build_sep_resnext(TINY, seed=2)
+        net = models.Network(TINY, seed=2)
         x = rng.standard_normal((2, 3, 8, 8)).astype(F32)
         idle = pol.all_self_send_policy(4, TINY.num_blocks, TINY.alpha)
         a = net.forward(x, idle, train=True)
@@ -187,7 +183,7 @@ class TestTransmissions:
         assert np.array_equal(a, b)
 
     def test_policy_length_mismatch_rejected(self, rng):
-        net = models.build_sep_resnext(TINY, seed=2)
+        net = models.Network(TINY, seed=2)
         bad = pol.policy_from_ids([(0, 8)], g=4, alpha=2)
         with pytest.raises(ConfigError):
             net.forward(rng.standard_normal((1, 3, 8, 8)).astype(F32), bad)
@@ -209,7 +205,7 @@ class TestTransmissions:
         # decision 23 = [3,2,1,0] twice: partition 3 feeds the head directly
         # at the final step and partition 0's early blocks route through 3,
         # crossing a stage boundary; partitions 1 and 2 never reach the head
-        net = models.build_sep_resnext(TINY, seed=7)
+        net = models.Network(TINY, seed=7)
         p = pol.policy_from_ids([(23, 0), (23, 8)], g=4, alpha=2)
         x = rng.standard_normal((2, 3, 8, 8)).astype(F32)
         y = np.array([1, 3])
@@ -258,14 +254,14 @@ class TestTransmissions:
                 assert not arr.any(), name
 
     def test_transmission_changes_output(self, rng):
-        net = models.build_sep_resnext(TINY, seed=2)
+        net = models.Network(TINY, seed=2)
         x = rng.standard_normal((1, 3, 8, 8)).astype(F32)
         base = net.forward(x, None, train=True)
         routed = net.forward(x, pol.policy_from_ids([(7, 8), (13, 8)], 4, 2), train=True)
         assert not np.array_equal(base, routed)
 
     def test_wire_f16_close_to_f32(self, rng):
-        net = models.build_sep_resnext(TINY, seed=2)
+        net = models.Network(TINY, seed=2)
         x = rng.standard_normal((1, 3, 8, 8)).astype(F32)
         p = pol.policy_from_ids([(7, 8), (13, 8)], 4, 2)
         net.forward(x, p, train=True)  # record stats so eval works
@@ -276,7 +272,7 @@ class TestTransmissions:
 
 class TestPartitionExecutor:
     def test_slices_match_full_forward_bitwise(self, rng):
-        net = models.build_sep_resnext(TINY, seed=9)
+        net = models.Network(TINY, seed=9)
         x = rng.standard_normal((1, 3, 8, 8)).astype(F32)
         net.forward(x, None, train=True)  # populate bn stats
         full_logits = net.forward(x, None, train=False)
@@ -298,7 +294,7 @@ class TestPartitionExecutor:
                 assert np.array_equal(ex.head(hp), full_logits)
 
     def test_non_head_node_refuses_head(self):
-        net = models.build_sep_resnext(TINY, seed=9)
+        net = models.Network(TINY, seed=9)
         ex = models.PartitionExecutor(net, 2)
         with pytest.raises(ConfigError):
             ex.head(np.zeros((1, net.keep_ch, 2, 2), dtype=F32))

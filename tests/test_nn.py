@@ -95,6 +95,16 @@ class TestConv:
         conv.backward(np.zeros_like(y))
         assert not conv.gw[0].any()
 
+    def test_slice_shares_arrays_and_matches_parent(self, rng):
+        conv = nn.Conv2d(8, 12, 3, 2, groups=4, partitions=2, rng=rng)
+        x = rng.standard_normal((1, 8, 6, 6)).astype(F32)
+        y = conv.forward(x)
+        for p in range(2):
+            part = conv.slice(p)
+            assert (part.in_ch, part.out_ch, part.groups, part.partitions) == (4, 6, 2, 1)
+            assert part.w[0] is conv.w[p] and part.gw[0] is conv.gw[p]
+            assert np.array_equal(part.forward(x[:, 4 * p : 4 * (p + 1)]), y[:, 6 * p : 6 * (p + 1)])
+
 
 class TestBatchNorm:
     def test_eval_identity_with_unit_stats(self):
@@ -120,6 +130,18 @@ class TestBatchNorm:
         assert np.allclose(y.reshape(-1), [-want, want], atol=1e-6)
         assert np.allclose(bn.rmean[0], 0.1 * 3.0, atol=1e-6)
         assert np.allclose(bn.rvar[0], 0.9 * 1.0 + 0.1 * 1.0, atol=1e-6)
+
+    def test_slice_shares_arrays_and_matches_parent(self, rng):
+        bn = nn.BatchNorm2d(6, partitions=3)
+        bn.forward(rng.standard_normal((4, 6, 3, 3)).astype(F32), train=True)
+        x = rng.standard_normal((1, 6, 3, 3)).astype(F32)
+        y = bn.forward(x)
+        for p in range(3):
+            part = bn.slice(p)
+            assert (part.channels, part.partitions, part.initialized) == (2, 1, True)
+            for name in ("gamma", "beta", "rmean", "rvar", "ggamma", "gbeta"):
+                assert getattr(part, name)[0] is getattr(bn, name)[p], name
+            assert np.array_equal(part.forward(x[:, 2 * p : 2 * (p + 1)]), y[:, 2 * p : 2 * (p + 1)])
 
     def test_eval_before_stats_raises(self):
         bn = nn.BatchNorm2d(2)

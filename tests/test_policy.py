@@ -137,6 +137,15 @@ class TestPolicySequence:
         with pytest.raises(ConfigError):
             pol.load_policy(path)
 
+    @pytest.mark.parametrize("text", [
+        "G=4 alpha\n0 0 0\n",
+        "G=4 alpha=2 levels=9 p_min=50\n0 x 2\n",
+        "G=4 alpha=2 levels=9 p_min=50\n0 0\n",
+    ])
+    def test_malformed_text_is_config_error(self, text):
+        with pytest.raises(ConfigError):
+            pol.policy_from_text(text)
+
     def test_all_self_send(self):
         p = pol.all_self_send_policy(4, 18, 2)
         assert len(p) == 9

@@ -1,13 +1,15 @@
 import multiprocessing as mp
 import os
+import queue
 import socket
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from sepnet import checkpoint as ckpt
-from sepnet import models, runtime
+from sepnet import models, runtime, wire
 from sepnet import policy as pol
 from sepnet.errors import ConfigError, PeerFailureError
 from sepnet.rng import make_rng
@@ -148,6 +150,21 @@ class TestHosted:
         assert len(logs[0]) > 0
 
 
+    def test_stalled_run_raises_typed_error(self, rng, monkeypatch):
+        # nobody sends, yet every receiver waits: no node can progress
+        monkeypatch.setattr(runtime.PartitionSession, "send_target", lambda self, step: None)
+        x = rng.standard_normal((1, 3, 16, 16)).astype(np.float32)
+        with pytest.raises(PeerFailureError, match="stalled"):
+            runtime.run_hosted(trained_net(), POLICY, x)
+
+    def test_undelivered_message_raises_typed_error(self, rng, monkeypatch):
+        # every node sends, no node receives
+        monkeypatch.setattr(runtime.PartitionSession, "expected_source", lambda self, step: None)
+        x = rng.standard_normal((1, 3, 16, 16)).astype(np.float32)
+        with pytest.raises(PeerFailureError, match="undelivered"):
+            runtime.run_hosted(trained_net(), POLICY, x)
+
+
 class TestSessions:
     def test_permutation_routing_one_send_one_receive(self):
         net = trained_net()
@@ -171,6 +188,22 @@ class TestSessions:
                               source=0, dest=3, dtype=wire.DTYPE_F32, channels_total=16)
         with pytest.raises(PeerFailureError, match="misrouted"):
             sess.aggregate(0, bad)
+
+
+def test_corrupt_frame_fails_waiting_inference_at_once():
+    worker = SimpleNamespace(cfg=SimpleNamespace(recv_timeout=3.0), input_queue=queue.Queue())
+    links = runtime._PeerLinks(worker)
+    mine, theirs = socket.socketpair()
+    try:
+        links.register(1, mine)
+        theirs.sendall(b"JUNK" + bytes(wire.HEADER.size - 4))
+        t0 = time.monotonic()
+        with pytest.raises(PeerFailureError, match="peer 1"):
+            links.wait_for(0, 1, timeout=3.0)
+        assert time.monotonic() - t0 < 1.0
+    finally:
+        mine.close()
+        theirs.close()
 
 
 class TestLoopbackCluster:

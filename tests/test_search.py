@@ -38,14 +38,14 @@ class _FixedSampler:
 
 class TestSharedTraining:
     def test_zero_steps_leaves_graph_unchanged(self, dataset):
-        net = models.build_sep_resnext(SPEC, seed=1)
+        net = models.Network(SPEC, seed=1)
         before = {n: a.copy() for n, a in net.named_params()}
         search.train_shared_weights(net, Controller(4, hidden=8), dataset, 0, small_cfg())
         for n, a in net.named_params():
             assert np.array_equal(a, before[n])
 
     def test_loss_decreases_on_learnable_task(self, dataset):
-        net = models.build_sep_resnext(SPEC, seed=1)
+        net = models.Network(SPEC, seed=1)
         cfg = small_cfg(shared_lr=0.05)
         ctl = Controller(4, hidden=16, seed=0)
         losses = search.train_shared_weights(net, ctl, dataset, 200, cfg)
@@ -54,10 +54,10 @@ class TestSharedTraining:
     def test_point_mass_sampler_matches_direct_training(self, dataset):
         fixed = pol.policy_from_ids([(7, 8), (13, 8)], 4, 2)
         cfg = small_cfg(monte_carlo_m=1)
-        a = models.build_sep_resnext(SPEC, seed=2)
+        a = models.Network(SPEC, seed=2)
         search.train_shared_weights(a, _FixedSampler(fixed), dataset, 5, cfg)
         # direct training on that fixed architecture, same batch stream
-        b = models.build_sep_resnext(SPEC, seed=2)
+        b = models.Network(SPEC, seed=2)
         batch_rng = make_rng(cfg.seed, "shared-batch", 0)
         for _ in range(5):
             x, y = dataset.sample_train_batch(cfg.batch_size, batch_rng)
@@ -70,13 +70,13 @@ class TestSharedTraining:
             assert np.array_equal(pa, pb), n
 
     def test_policy_of_wrong_length_rejected(self, dataset):
-        net = models.build_sep_resnext(SPEC, seed=1)
+        net = models.Network(SPEC, seed=1)
         bad = pol.policy_from_ids([(0, 0)], 4, 2)
         with pytest.raises(ConfigError):
             search.train_shared_weights(net, _FixedSampler(bad), dataset, 1, small_cfg())
 
     def test_monte_carlo_average_over_m_samples(self, dataset):
-        net = models.build_sep_resnext(SPEC, seed=2)
+        net = models.Network(SPEC, seed=2)
         cfg = small_cfg(monte_carlo_m=3)
         losses = search.train_shared_weights(net, Controller(4, hidden=8, seed=1),
                                              dataset, 2, cfg)
@@ -85,13 +85,13 @@ class TestSharedTraining:
 
 class TestControllerTraining:
     def _trained_net(self, dataset):
-        net = models.build_sep_resnext(SPEC, seed=1)
+        net = models.Network(SPEC, seed=1)
         search.train_shared_weights(net, Controller(4, hidden=8, seed=0), dataset, 30,
                                     small_cfg(shared_lr=0.05))
         return net
 
     def test_empty_validation_rejected(self, dataset):
-        net = models.build_sep_resnext(SPEC, seed=1)
+        net = models.Network(SPEC, seed=1)
         empty = dat.Dataset(dataset.train_x, dataset.train_y,
                             dataset.val_x[:0], dataset.val_y[:0],
                             dataset.test_x, dataset.test_y)
@@ -142,7 +142,7 @@ class TestControllerTraining:
 
 class TestSampleBest:
     def test_single_candidate_returned(self, dataset):
-        net = models.build_sep_resnext(SPEC, seed=1)
+        net = models.Network(SPEC, seed=1)
         net.forward(dataset.train_x[:4], train=True)  # init bn stats
         policy, acc, mean_acc, _ = search.sample_best(
             Controller(4, hidden=8, seed=0), net, dataset, 1, small_cfg())
@@ -150,14 +150,14 @@ class TestSampleBest:
         assert len(policy) == SPEC.num_steps()
 
     def test_best_at_least_mean(self, dataset):
-        net = models.build_sep_resnext(SPEC, seed=1)
+        net = models.Network(SPEC, seed=1)
         net.forward(dataset.train_x[:4], train=True)
         _, acc, mean_acc, _ = search.sample_best(
             Controller(4, hidden=8, seed=0), net, dataset, 8, small_cfg())
         assert acc >= mean_acc
 
     def test_fixed_seed_reproducible(self, dataset):
-        net = models.build_sep_resnext(SPEC, seed=1)
+        net = models.Network(SPEC, seed=1)
         net.forward(dataset.train_x[:4], train=True)
         runs = [search.sample_best(Controller(4, hidden=8, seed=0), net, dataset, 5,
                                    small_cfg()) for _ in range(2)]
