@@ -5,8 +5,9 @@ Deployment shapes
 * one process per partition: ``run_worker`` serves a partition over TCP;
   a ``Coordinator`` broadcasts the input image to every worker and reads
   the logits (and a timing report) back from node 0.
-* all partitions in one process: ``run_hosted`` takes turns among the
-  per-node drivers and passes their messages through an in-memory mailbox.
+* all partitions in one process: ``run_hosted`` takes turns among one
+  ``_drive`` generator per node and passes their messages through an
+  in-memory mailbox.
 
 Both paths run ``_drive``, the one loop over transmission boundaries, and
 push every feature chunk through the wire codec, so a hosted run is
