@@ -16,6 +16,7 @@ CRC32.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import struct
@@ -32,6 +33,15 @@ _HEAD = struct.Struct("<4sHI")
 _BLOB_NAME = struct.Struct("<H")
 _BLOB_DIMS = struct.Struct("<B")
 _BLOB_TAIL = struct.Struct("<II")
+
+
+def params_digest(named) -> str:
+    """sha256 over the names and bytes of (name, array) pairs, in order."""
+    h = hashlib.sha256()
+    for name, arr in named:
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
 
 
 def save_checkpoint(path, blobs: dict[str, np.ndarray], metadata: dict) -> None:

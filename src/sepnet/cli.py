@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import logging
 import os
 import sys
 
@@ -227,6 +228,7 @@ def _parse_peers(text: str) -> dict[int, tuple[str, int]]:
 
 
 def cmd_worker(args) -> int:
+    logging.basicConfig(level=logging.INFO, format="%(name)s: %(message)s")
     peers = _parse_peers(args.peers) if args.peers else {}
     listen = peers.pop(args.node_id, None) or ("127.0.0.1", args.port)
     wc = runtime.WorkerConfig(

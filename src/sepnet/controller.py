@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import params_digest
 from .errors import ConfigError, NumericsError
 from .policy import PolicySequence, SparsityLevel, decision_from_id
 from .rng import make_rng
@@ -242,13 +243,7 @@ class Controller:
             arr += (lr * self._grads[name]).astype(F32)
 
     def param_digest(self) -> str:
-        import hashlib
-
-        h = hashlib.sha256()
-        for name, arr in self.params():
-            h.update(name.encode())
-            h.update(np.ascontiguousarray(arr).tobytes())
-        return h.hexdigest()
+        return params_digest(self.params())
 
 
 def baseline_update(baseline: float, rewards, decay: float) -> float:

@@ -175,12 +175,6 @@ class Bottleneck:
             out += [("ds_conv", self.ds_conv), ("ds_bn", self.ds_bn)]
         return out
 
-    def conv_weight_count(self, include_downsample: bool = True) -> int:
-        convs = [self.conv1, self.conv2, self.conv3]
-        if include_downsample and self.ds_conv is not None:
-            convs.append(self.ds_conv)
-        return sum(sum(a.size for a in c.w) for c in convs)
-
 
 def cast_f16_roundtrip(x: np.ndarray) -> np.ndarray:
     """Round-to-nearest-even narrowing to half precision and back."""

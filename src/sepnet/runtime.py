@@ -14,6 +14,13 @@ push every feature chunk through the wire codec, so a hosted run is
 byte-identical to a socket run, and both match
 ``single_process_reference`` on the full-width graph.
 
+Every worker process runs numpy's BLAS on ``WORKER_BLAS_THREADS`` (one)
+thread. OpenBLAS otherwise starts one thread per core in every process,
+so G workers on a few cores oversubscribe them many times over while a
+batch-1 partition gains nothing from a second thread. The count is set
+through OpenBLAS's own call, because a spawned worker has imported numpy
+before its target runs and ``OPENBLAS_NUM_THREADS`` is read only then.
+
 Protocol
 --------
 Connections are TCP with TCP_NODELAY; each pair of peers shares one
@@ -30,6 +37,10 @@ delivery per link makes deadlock impossible.
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import logging
+import os
 import queue
 import socket
 import threading
@@ -44,7 +55,16 @@ from .models import Network, PartitionExecutor, adapt_chunk
 from .policy import PolicySequence, n_send
 from .checkpoint import load_model
 
+log = logging.getLogger("sepnet.runtime")
+
 COORD_ID = 0xFE
+WORKER_BLAS_THREADS = 1
+# (set, get) symbol pairs of numpy's bundled OpenBLAS, newest naming first
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
 
 TIMING_FIELDS = ("stem", "compute", "wait", "aggregate", "serialize", "head", "other", "total")
 
@@ -190,13 +210,15 @@ def run_hosted(net: Network, policy: PolicySequence, x: np.ndarray, dtype: str =
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    buf = b""
-    while len(buf) < n:
-        part = sock.recv(n - len(buf))
-        if not part:
+    buf = bytearray(n)
+    view = memoryview(buf)
+    got = 0
+    while got < n:
+        count = sock.recv_into(view[got:])
+        if not count:
             raise PeerFailureError("peer closed the connection")
-        buf += part
-    return buf
+        got += count
+    return bytes(buf)
 
 
 def _read_frame(sock: socket.socket) -> tuple[bytes, wire.MsgMeta]:
@@ -462,8 +484,10 @@ class Worker:
                 continue
             try:
                 self._serve_one(raw)
-            except Exception:
+            except Exception as exc:
                 # abort this inference, stay alive for the next request
+                log.warning("node %d aborted an inference: %s: %s",
+                            self.cfg.node_id, type(exc).__name__, exc)
                 self._abort_inference()
 
     def stop(self) -> None:
@@ -475,8 +499,29 @@ class Worker:
                 pass
 
 
+def set_blas_threads(n: int) -> int | None:
+    """Set the thread count of numpy's bundled OpenBLAS for this process.
+
+    Returns the count read back from OpenBLAS, or None when numpy bundles
+    no OpenBLAS."""
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libdir, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for set_name, get_name in _BLAS_THREAD_SYMBOLS:
+            setter, getter = getattr(lib, set_name, None), getattr(lib, get_name, None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter(n)
+                return getter()
+    return None
+
+
 def run_worker(cfg: WorkerConfig) -> None:
-    """Blocking entry point for a worker process."""
+    """Blocking entry point for a worker process; caps its BLAS threads first."""
+    threads = set_blas_threads(WORKER_BLAS_THREADS)
+    log.info("node %d: BLAS threads %s", cfg.node_id,
+             "not capped" if threads is None else threads)
     Worker(cfg).serve_forever()
 
 

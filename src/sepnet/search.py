@@ -70,16 +70,6 @@ class SearchResult:
     log: list[dict] = field(default_factory=list)
 
 
-def _params_digest(named) -> str:
-    import hashlib
-
-    h = hashlib.sha256()
-    for name, arr in named:
-        h.update(name.encode())
-        h.update(np.ascontiguousarray(arr).tobytes())
-    return h.hexdigest()
-
-
 def evaluate_policy(net: Network, policy: PolicySequence, x, y) -> float:
     logits = net.forward(x, policy, train=False)
     return float((logits.argmax(axis=1) == y).mean())
@@ -262,10 +252,10 @@ def run_search(cfg: SearchConfig, model_spec: ModelSpec, data: Dataset,
         log.append({"iteration": iteration, "stage": "shared",
                     "loss": float(np.mean(losses)) if losses else None})
         if use_controller:
-            net_hash = _params_digest(net.named_params())
+            net_hash = ckpt.params_digest(net.named_params())
             baseline, mean_reward, val_cursor = train_controller(
                 ctl, net, data, cfg.controller_steps, cfg, iteration, baseline, val_cursor)
-            if _params_digest(net.named_params()) != net_hash:
+            if ckpt.params_digest(net.named_params()) != net_hash:
                 raise ConfigError("stage 2 mutated shared weights")
             log.append({"iteration": iteration, "stage": "controller",
                         "mean_reward": mean_reward, "baseline": baseline})

@@ -68,7 +68,7 @@ class TestBuild:
         x = rng.standard_normal((2, 3, 8, 8)).astype(F32)
         assert net.forward(x, train=True).shape == (2, 3)
 
-    def test_sep_g1_matches_plain_bitwise(self, rng):
+    def test_construction_deterministic(self, rng):
         spec = models.ModelSpec(stages=2, blocks_per_stage=2, cardinality=4,
                                 bottleneck_width=4, partitions=1, num_classes=5,
                                 alpha=2, in_hw=(8, 8))

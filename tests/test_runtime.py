@@ -1,7 +1,9 @@
+import logging
 import multiprocessing as mp
 import os
 import queue
 import socket
+import threading
 import time
 from types import SimpleNamespace
 
@@ -204,6 +206,100 @@ def test_corrupt_frame_fails_waiting_inference_at_once():
     finally:
         mine.close()
         theirs.close()
+
+
+def test_recv_exact_reassembles_many_small_pieces():
+    payload = bytes(range(256)) * 80
+    mine, theirs = socket.socketpair()
+
+    def trickle():
+        for i in range(0, len(payload), 97):
+            theirs.sendall(payload[i:i + 97])
+            time.sleep(0.0005)
+
+    sender = threading.Thread(target=trickle)
+    sender.start()
+    try:
+        got = runtime._recv_exact(mine, len(payload))
+    finally:
+        sender.join(10)
+        mine.close()
+        theirs.close()
+    assert not sender.is_alive()
+    assert type(got) is bytes and got == payload
+
+
+def test_recv_exact_peer_closed_mid_payload():
+    mine, theirs = socket.socketpair()
+    try:
+        theirs.sendall(b"x" * 10)
+        theirs.close()
+        with pytest.raises(PeerFailureError, match="closed"):
+            runtime._recv_exact(mine, 20)
+    finally:
+        mine.close()
+
+
+def test_aborted_inference_is_logged(tmp_path, caplog, monkeypatch):
+    ck, pp = str(tmp_path / "m.snnc"), str(tmp_path / "p.policy")
+    ckpt.save_model(ck, trained_net())
+    pol.save_policy(pp, POLICY)
+    addrs = {i: ("127.0.0.1", 0) for i in range(4)}
+    worker = runtime.Worker(worker_config(2, addrs, ck, pp))
+    monkeypatch.setattr(worker, "start", lambda: None)  # no sockets needed
+    abort = worker._abort_inference
+
+    def abort_then_stop():
+        abort()
+        worker.stop_event.set()
+
+    monkeypatch.setattr(worker, "_abort_inference", abort_then_stop)
+    worker.send_queue.put((1, b"stale frame"))
+    worker.input_queue.put(b"JUNK" + bytes(wire.HEADER.size - 4))
+    with caplog.at_level(logging.WARNING, logger="sepnet.runtime"):
+        worker.serve_forever()
+    assert worker.send_queue.empty()
+    [record] = [r for r in caplog.records if r.name == "sepnet.runtime"]
+    assert record.levelno == logging.WARNING
+    assert "node 2" in record.message
+    assert "FramingError" in record.message and "bad magic" in record.message
+
+
+def _set_blas_threads_twice():
+    # unpickling this target imported sepnet.runtime, and numpy, before it runs
+    return runtime.set_blas_threads(2), runtime.set_blas_threads(1)
+
+
+def test_blas_thread_cap_in_spawned_child():
+    with _CTX.Pool(1) as pool:
+        counts = pool.apply(_set_blas_threads_twice)
+    if counts == (None, None):
+        pytest.skip("numpy bundles no OpenBLAS")
+    assert counts == (2, 1)
+
+
+@pytest.mark.parametrize("read_back, shown", [(1, "BLAS threads 1"),
+                                              (None, "BLAS threads not capped")])
+def test_run_worker_caps_blas_before_building_worker(monkeypatch, caplog, read_back, shown):
+    calls = []
+
+    def cap(n):
+        calls.append(("cap", n))
+        return read_back
+
+    class StubWorker:
+        def __init__(self, cfg):
+            calls.append("build")
+
+        def serve_forever(self):
+            calls.append("serve")
+
+    monkeypatch.setattr(runtime, "set_blas_threads", cap)
+    monkeypatch.setattr(runtime, "Worker", StubWorker)
+    with caplog.at_level(logging.INFO, logger="sepnet.runtime"):
+        runtime.run_worker(SimpleNamespace(node_id=3))
+    assert calls == [("cap", 1), "build", "serve"]
+    assert f"node 3: {shown}" in caplog.text
 
 
 class TestLoopbackCluster:

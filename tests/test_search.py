@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from sepnet import checkpoint as ckpt
 from sepnet import data as dat
 from sepnet import models, nn, search
 from sepnet import policy as pol
@@ -100,10 +101,10 @@ class TestControllerTraining:
 
     def test_shared_weights_never_mutated(self, dataset):
         net = self._trained_net(dataset)
-        digest = search._params_digest(net.named_params())
+        digest = ckpt.params_digest(net.named_params())
         ctl = Controller(4, hidden=16, seed=2)
         search.train_controller(ctl, net, dataset, 10, small_cfg())
-        assert search._params_digest(net.named_params()) == digest
+        assert ckpt.params_digest(net.named_params()) == digest
 
     def test_constant_reward_with_primed_baseline_is_noop(self, dataset, monkeypatch):
         net = self._trained_net(dataset)
