@@ -16,6 +16,7 @@ CRC32.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -119,15 +120,8 @@ def graph_blobs(net) -> dict[str, np.ndarray]:
 
 
 def graph_metadata(net) -> dict:
-    spec = net.spec
     return {
-        "spec": {
-            "stages": spec.stages, "blocks_per_stage": spec.blocks_per_stage,
-            "cardinality": spec.cardinality, "bottleneck_width": spec.bottleneck_width,
-            "filter_size": spec.filter_size, "partitions": spec.partitions,
-            "num_classes": spec.num_classes, "alpha": spec.alpha,
-            "in_channels": spec.in_channels, "in_hw": list(spec.in_hw),
-        },
+        "spec": dataclasses.asdict(net.spec),
         "bn_initialized": net.bn_initialized(),
         "partition_map": {name: net.param_owner(name) for name, _ in net.named_params()},
     }
@@ -136,14 +130,12 @@ def graph_metadata(net) -> dict:
 def restore_graph(meta: dict, blobs: dict[str, np.ndarray]):
     from .models import ModelSpec, Network
 
-    info = meta["spec"]
-    spec = ModelSpec(
-        stages=info["stages"], blocks_per_stage=info["blocks_per_stage"],
-        cardinality=info["cardinality"], bottleneck_width=info["bottleneck_width"],
-        filter_size=info["filter_size"], partitions=info["partitions"],
-        num_classes=info["num_classes"], alpha=info["alpha"],
-        in_channels=info["in_channels"], in_hw=tuple(info["in_hw"]),
-    )
+    info = meta.get("spec")
+    names = {f.name for f in dataclasses.fields(ModelSpec)}
+    if not isinstance(info, dict) or set(info) != names:
+        raise ConfigError(f"bad checkpoint model spec {info!r}; expected keys {sorted(names)}")
+    spec = ModelSpec(**{**info, "in_hw": tuple(info["in_hw"])})
+    spec.validate()
     net = Network(spec, seed=0)
     expected = dict(net.named_params()) | dict(net.named_state())
     for name, arr in expected.items():
@@ -181,7 +173,7 @@ def restore_controller(meta: dict, blobs: dict[str, np.ndarray]):
     return ctl
 
 
-def save_model(path, net=None, ctl=None, extra: dict | None = None, policy=None) -> None:
+def save_model(path, net=None, ctl=None, extra: dict | None = None) -> None:
     """Store graph and/or controller in one container, tagged by role."""
     blobs: dict[str, np.ndarray] = {}
     meta: dict = {"roles": {}}
@@ -191,10 +183,6 @@ def save_model(path, net=None, ctl=None, extra: dict | None = None, policy=None)
     if ctl is not None:
         blobs.update(controller_blobs(ctl))
         meta["roles"]["controller"] = controller_metadata(ctl)
-    if policy is not None:
-        meta["roles"]["policy"] = {"ids": policy.ids(), "g": policy.num_nodes,
-                                   "alpha": policy.alpha, "levels": policy.levels,
-                                   "p_min": policy.p_min}
     if extra:
         meta["extra"] = extra
     save_checkpoint(path, blobs, meta)
@@ -207,15 +195,3 @@ def load_model(path):
     net = restore_graph(roles["graph"], blobs) if "graph" in roles else None
     ctl = restore_controller(roles["controller"], blobs) if "controller" in roles else None
     return net, ctl, meta.get("extra", {})
-
-
-def attached_policy(path):
-    """The policy stored alongside a model, or None."""
-    from .policy import policy_from_ids
-
-    meta, _ = load_checkpoint(path)
-    info = meta.get("roles", {}).get("policy")
-    if info is None:
-        return None
-    return policy_from_ids([tuple(p) for p in info["ids"]], info["g"], info["alpha"],
-                           info["levels"], info["p_min"])

@@ -7,6 +7,7 @@ acceptance check failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import logging
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import config as cfgmod
-from . import models, perf, report, runtime, search, wire
+from . import models, perf, report, runtime, search
 from .data import make_dataset
 from .errors import SepnetError
 from .policy import load_policy
@@ -45,12 +46,38 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
                    help="override a configuration key")
 
 
+def _add_cost_args(p: argparse.ArgumentParser, cluster: bool) -> None:
+    """The flags that ``_cost_inputs`` and ``_cluster_from_args`` read."""
+    _add_config_args(p)
+    p.add_argument("--alpha", type=int)
+    p.add_argument("--dtype", choices=("f32", "f16"), default="f32")
+    p.add_argument("--policy")
+    if cluster:
+        p.add_argument("--flops", type=float, help="per-node compute rate, FLOP/s")
+        p.add_argument("--bandwidth", type=float, help="link bandwidth, bit/s")
+        p.add_argument("--overhead", type=float, help="per-message overhead, s")
+
+
 def _load_policy_for(spec: models.ModelSpec, path: str | None):
     if path is None:
         return None
     policy = load_policy(path)
     policy.validate_for(spec.num_blocks)
     return policy
+
+
+def _override(spec, **changes):
+    """``spec`` with every change that is not None applied, validated."""
+    spec = dataclasses.replace(spec, **{k: v for k, v in changes.items() if v is not None})
+    spec.validate()
+    return spec
+
+
+def _cost_inputs(args):
+    """The resolved config, the model spec under ``--alpha`` and the optional policy."""
+    cfg = cfgmod.resolve(args.config, args.set)
+    spec = _override(cfgmod.model_spec(cfg), alpha=args.alpha)
+    return cfg, spec, _load_policy_for(spec, args.policy)
 
 
 def cmd_build(args) -> int:
@@ -74,9 +101,8 @@ def cmd_build(args) -> int:
         "per_partition_macs": fl.per_partition_macs(spec.partitions),
     }
     if spec.partitions == 1:
-        sep = models.ModelSpec(**{**spec.__dict__, "partitions": min(4, spec.cardinality)})
         try:
-            sep.validate()
+            sep = _override(spec, partitions=min(4, spec.cardinality))
             sep_net = models.Network(sep, seed=cfg["seed"])
             sep_params = models.count_params_enumerated(sep_net)
             doc["separable_partitions"] = sep.partitions
@@ -112,8 +138,7 @@ def cmd_finetune(args) -> int:
     sc = cfgmod.search_config(cfg)
     data = make_dataset(cfgmod.data_spec(cfg))
     net, ctl, _ = ckpt.load_model(args.checkpoint)
-    policy = load_policy(args.policy)
-    policy.validate_for(net.spec.num_blocks)
+    policy = _load_policy_for(net.spec, args.policy)
     losses = search.finetune(net, policy, data, sc, epochs=args.epochs)
     acc = search.test_accuracy(net, policy, data)
     out = args.out or args.checkpoint + ".finetuned"
@@ -142,11 +167,7 @@ def _table6_rows(spec: models.ModelSpec, policy, dtype: str) -> list[dict]:
 
 
 def cmd_commcost(args) -> int:
-    cfg = cfgmod.resolve(args.config, args.set)
-    spec = cfgmod.model_spec(cfg)
-    if args.alpha:
-        spec = models.ModelSpec(**{**spec.__dict__, "alpha": args.alpha})
-    policy = _load_policy_for(spec, args.policy)
+    _, spec, policy = _cost_inputs(args)
     rep = perf.comm_volume(spec, policy, args.dtype)
     if args.table6:
         rows = _table6_rows(spec, policy, args.dtype)
@@ -164,12 +185,8 @@ def cmd_commcost(args) -> int:
 
 
 def cmd_feasibility(args) -> int:
-    cfg = cfgmod.resolve(args.config, args.set)
-    spec = cfgmod.model_spec(cfg)
-    if args.alpha:
-        spec = models.ModelSpec(**{**spec.__dict__, "alpha": args.alpha})
+    cfg, spec, policy = _cost_inputs(args)
     cluster = _cluster_from_args(cfg, args)
-    policy = _load_policy_for(spec, args.policy)
     rep = perf.feasibility(cluster, spec, policy, args.dtype)
     print(rep.to_json())
     print(f"verdict: {'feasible' if rep.feasible else 'infeasible'} (margin {rep.margin:.4f})")
@@ -177,23 +194,13 @@ def cmd_feasibility(args) -> int:
 
 
 def _cluster_from_args(cfg, args) -> perf.ClusterSpec:
-    cluster = cfgmod.cluster_spec(cfg)
-    kw = {
-        "num_nodes": cluster.num_nodes,
-        "flops_per_sec": args.flops or cluster.flops_per_sec,
-        "bandwidth_bps": args.bandwidth or cluster.bandwidth_bps,
-        "overhead_s": cluster.overhead_s if args.overhead is None else args.overhead,
-    }
-    return perf.ClusterSpec(**kw)
+    return _override(cfgmod.cluster_spec(cfg), flops_per_sec=args.flops,
+                     bandwidth_bps=args.bandwidth, overhead_s=args.overhead)
 
 
 def cmd_simulate(args) -> int:
-    cfg = cfgmod.resolve(args.config, args.set)
-    spec = cfgmod.model_spec(cfg)
-    if args.alpha:
-        spec = models.ModelSpec(**{**spec.__dict__, "alpha": args.alpha})
+    cfg, spec, policy = _cost_inputs(args)
     cluster = _cluster_from_args(cfg, args)
-    policy = _load_policy_for(spec, args.policy)
     multi = perf.simulate_latency(cluster, spec, policy, args.dtype)
     single = perf.simulate_latency(cluster, spec, policy, args.dtype, single_node=True)
     feas = perf.feasibility(cluster, spec, policy, args.dtype)
@@ -267,10 +274,8 @@ def cmd_verify_equivalence(args) -> int:
         net = models.Network(spec, seed=cfg["seed"])
         net.mark_bn_initialized()
     spec = net.spec
-    if args.policy:
-        policy = load_policy(args.policy)
-        policy.validate_for(spec.num_blocks)
-    else:
+    policy = _load_policy_for(spec, args.policy)
+    if policy is None:
         policy = perf.full_exchange_policy(spec)
     rng = make_rng(cfg["seed"], "verify")
     worst = 0.0
@@ -321,32 +326,17 @@ def build_parser() -> _Parser:
 
     c = sub.add_parser("commcost", help="per-inference transmission volume report")
     c.set_defaults(func=cmd_commcost)
-    _add_config_args(c)
-    c.add_argument("--alpha", type=int)
-    c.add_argument("--dtype", choices=("f32", "f16"), default="f32")
-    c.add_argument("--policy")
+    _add_cost_args(c, cluster=False)
     c.add_argument("--table6", action="store_true", help="print the four-row comparison table")
     c.add_argument("--out")
 
     fe = sub.add_parser("feasibility", help="can transmissions hide behind computation?")
     fe.set_defaults(func=cmd_feasibility)
-    _add_config_args(fe)
-    fe.add_argument("--alpha", type=int)
-    fe.add_argument("--flops", type=float, help="per-node compute rate, FLOP/s")
-    fe.add_argument("--bandwidth", type=float, help="link bandwidth, bit/s")
-    fe.add_argument("--overhead", type=float, default=None, help="per-message overhead, s")
-    fe.add_argument("--dtype", choices=("f32", "f16"), default="f32")
-    fe.add_argument("--policy")
+    _add_cost_args(fe, cluster=True)
 
     si = sub.add_parser("simulate", help="event-driven latency timeline and speedup")
     si.set_defaults(func=cmd_simulate)
-    _add_config_args(si)
-    si.add_argument("--alpha", type=int)
-    si.add_argument("--flops", type=float)
-    si.add_argument("--bandwidth", type=float)
-    si.add_argument("--overhead", type=float, default=None)
-    si.add_argument("--dtype", choices=("f32", "f16"), default="f32")
-    si.add_argument("--policy")
+    _add_cost_args(si, cluster=True)
     si.add_argument("--out")
 
     w = sub.add_parser("worker", help="serve one partition over TCP")

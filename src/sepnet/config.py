@@ -1,16 +1,28 @@
 """Plain-text run configuration.
 
-Files are ``key = value`` lines with ``#`` comments. Keys are namespaced
-(``model.cardinality``, ``search.meta_iterations``, ``cluster.flops``,
-``data.noise``, plus top-level ``seed`` and ``out_dir``). Unknown keys are
-rejected. Command-line ``--set key=value`` overrides file values, and the
-``SEPNET_OUT_DIR`` environment variable overrides ``out_dir``, so every
-run can be reproduced from its logged resolved configuration.
+Files are ``key = value`` lines with ``#`` comments. Each section maps to
+one frozen dataclass in ``SECTIONS``, and that dataclass holds the fields
+and their defaults; ``SCHEMA`` is derived from them. A key is
+``section.field`` (a bare field name for ``RunSpec``), except:
+
+    model.in_h, model.in_w   ModelSpec.in_hw
+    data.h, data.w           DataSpec.hw
+    cluster.nodes            ClusterSpec.num_nodes
+    cluster.flops            ClusterSpec.flops_per_sec
+    seed                     DataSpec.seed and SearchConfig.seed
+
+Unknown keys are rejected. Command-line ``--set key=value`` overrides file
+values, and the ``SEPNET_OUT_DIR`` environment variable overrides
+``out_dir``, so every run can be reproduced from its logged resolved
+configuration.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import os
+import typing
 
 from .data import DataSpec
 from .errors import ConfigError
@@ -18,76 +30,71 @@ from .models import ModelSpec
 from .perf import ClusterSpec
 from .search import SearchConfig
 
-_BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
-SCHEMA: dict[str, tuple[type, object]] = {
-    "model.stages": (int, 3),
-    "model.blocks_per_stage": (int, 6),
-    "model.cardinality": (int, 8),
-    "model.bottleneck_width": (int, 16),
-    "model.filter_size": (int, 3),
-    "model.partitions": (int, 1),
-    "model.num_classes": (int, 100),
-    "model.alpha": (int, 2),
-    "model.in_channels": (int, 3),
-    "model.in_h": (int, 32),
-    "model.in_w": (int, 32),
-    "data.num_classes": (int, 8),
-    "data.channels": (int, 3),
-    "data.h": (int, 16),
-    "data.w": (int, 16),
-    "data.train_pool": (int, 2000),
-    "data.test_n": (int, 512),
-    "data.val_fraction": (float, 0.1),
-    "data.noise": (float, 0.8),
-    "search.meta_iterations": (int, 10),
-    "search.shared_steps": (int, 50),
-    "search.controller_steps": (int, 50),
-    "search.candidates": (int, 20),
-    "search.monte_carlo_m": (int, 1),
-    "search.shared_lr": (float, 0.05),
-    "search.controller_lr": (float, 0.3),
-    "search.controller_hidden": (int, 100),
-    "search.baseline_decay": (float, 0.95),
-    "search.entropy_coef": (float, 0.0),
-    "search.finetune_lr": (float, 1e-4),
-    "search.finetune_epochs": (int, 5),
-    "search.batch_size": (int, 32),
-    "search.reward_batch": (int, 64),
-    "search.levels": (int, 9),
-    "search.p_min": (int, 50),
-    "cluster.nodes": (int, 4),
-    "cluster.flops": (float, 1.7e8),
-    "cluster.bandwidth_bps": (float, 300e6),
-    "cluster.overhead_s": (float, 0.0),
-    "seed": (int, 0),
-    "out_dir": (str, "runs/out"),
+@dataclasses.dataclass(frozen=True)
+class RunSpec:
+    """Top-level keys that belong to no spec."""
+
+    out_dir: str = "runs/out"
+
+
+SECTIONS = {"": RunSpec, "model": ModelSpec, "data": DataSpec, "search": SearchConfig,
+            "cluster": ClusterSpec}
+
+# fields whose keys differ from "section.field"; a tuple field takes one key per element
+_RENAMED = {
+    "model.in_hw": ("model.in_h", "model.in_w"),
+    "data.hw": ("data.h", "data.w"),
+    "data.seed": ("seed",),
+    "search.seed": ("seed",),
+    "cluster.num_nodes": ("cluster.nodes",),
+    "cluster.flops_per_sec": ("cluster.flops",),
 }
 
 
-def _parse_value(key: str, text: str):
+def _keys(section: str, field: str) -> tuple[str, ...]:
+    name = f"{section}.{field}" if section else field
+    return _RENAMED.get(name, (name,))
+
+
+def _schema() -> dict[str, tuple[type, object]]:
+    schema: dict[str, tuple[type, object]] = {}
+    for section, cls in SECTIONS.items():
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            keys = _keys(section, f.name)
+            types = typing.get_args(hints[f.name]) or (hints[f.name],)
+            defaults = f.default if len(keys) > 1 else (f.default,)
+            for key, want, default in zip(keys, types, defaults):
+                schema.setdefault(key, (want, default))
+    return schema
+
+
+SCHEMA = _schema()
+
+
+def _parse_item(item: str, where: str) -> tuple[str, object]:
+    """One ``key = value`` item as a schema key and its typed value."""
+    if "=" not in item:
+        raise ConfigError(f"{where}: expected 'key = value', got {item!r}")
+    key, text = (part.strip() for part in item.split("=", 1))
+    if key not in SCHEMA:
+        raise ConfigError(f"{where}: unknown configuration key {key!r}")
     want, _ = SCHEMA[key]
-    text = text.strip()
     try:
-        if want is bool:
-            return _BOOL[text.lower()]
-        return want(text)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"bad value {text!r} for {key} (expected {want.__name__})") from exc
+        return key, want(text)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad value {text!r} for {key} "
+                          f"(expected {want.__name__})") from exc
 
 
 def parse_config_text(text: str) -> dict:
     out = {}
     for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in SCHEMA:
-            raise ConfigError(f"line {lineno}: unknown configuration key {key!r}")
-        out[key] = _parse_value(key, value)
+        item = line.split("#", 1)[0].strip()
+        if item:
+            key, value = _parse_item(item, f"line {lineno}")
+            out[key] = value
     return out
 
 
@@ -97,13 +104,7 @@ def resolve(config_path: str | None = None, overrides: list[str] | None = None) 
     if config_path:
         with open(config_path, encoding="utf-8") as fh:
             cfg.update(parse_config_text(fh.read()))
-    for item in overrides or []:
-        if "=" not in item:
-            raise ConfigError(f"override must look like key=value, got {item!r}")
-        key, value = (part.strip() for part in item.split("=", 1))
-        if key not in SCHEMA:
-            raise ConfigError(f"unknown configuration key {key!r}")
-        cfg[key] = _parse_value(key, value)
+    cfg.update(_parse_item(item, "override") for item in overrides or [])
     env_out = os.environ.get("SEPNET_OUT_DIR")
     if env_out:
         cfg["out_dir"] = env_out
@@ -114,48 +115,18 @@ def format_resolved(cfg: dict) -> str:
     return "\n".join(f"{key} = {cfg[key]}" for key in sorted(cfg)) + "\n"
 
 
-def model_spec(cfg: dict) -> ModelSpec:
-    spec = ModelSpec(
-        stages=cfg["model.stages"], blocks_per_stage=cfg["model.blocks_per_stage"],
-        cardinality=cfg["model.cardinality"], bottleneck_width=cfg["model.bottleneck_width"],
-        filter_size=cfg["model.filter_size"], partitions=cfg["model.partitions"],
-        num_classes=cfg["model.num_classes"], alpha=cfg["model.alpha"],
-        in_channels=cfg["model.in_channels"], in_hw=(cfg["model.in_h"], cfg["model.in_w"]),
-    )
+def _build(cls, section: str, cfg: dict):
+    """The validated ``cls`` whose fields are read from the keys of ``section``."""
+    kw = {}
+    for f in dataclasses.fields(cls):
+        values = tuple(cfg[key] for key in _keys(section, f.name))
+        kw[f.name] = values if len(values) > 1 else values[0]
+    spec = cls(**kw)
     spec.validate()
     return spec
 
 
-def data_spec(cfg: dict) -> DataSpec:
-    spec = DataSpec(
-        num_classes=cfg["data.num_classes"], channels=cfg["data.channels"],
-        hw=(cfg["data.h"], cfg["data.w"]), train_pool=cfg["data.train_pool"],
-        test_n=cfg["data.test_n"], val_fraction=cfg["data.val_fraction"],
-        noise=cfg["data.noise"], seed=cfg["seed"],
-    )
-    spec.validate()
-    return spec
-
-
-def search_config(cfg: dict) -> SearchConfig:
-    sc = SearchConfig(
-        meta_iterations=cfg["search.meta_iterations"], shared_steps=cfg["search.shared_steps"],
-        controller_steps=cfg["search.controller_steps"], candidates=cfg["search.candidates"],
-        monte_carlo_m=cfg["search.monte_carlo_m"], shared_lr=cfg["search.shared_lr"],
-        controller_lr=cfg["search.controller_lr"], controller_hidden=cfg["search.controller_hidden"],
-        baseline_decay=cfg["search.baseline_decay"], entropy_coef=cfg["search.entropy_coef"],
-        finetune_lr=cfg["search.finetune_lr"], finetune_epochs=cfg["search.finetune_epochs"],
-        batch_size=cfg["search.batch_size"], reward_batch=cfg["search.reward_batch"],
-        levels=cfg["search.levels"], p_min=cfg["search.p_min"], seed=cfg["seed"],
-    )
-    sc.validate()
-    return sc
-
-
-def cluster_spec(cfg: dict) -> ClusterSpec:
-    spec = ClusterSpec(
-        num_nodes=cfg["cluster.nodes"], flops_per_sec=cfg["cluster.flops"],
-        bandwidth_bps=cfg["cluster.bandwidth_bps"], overhead_s=cfg["cluster.overhead_s"],
-    )
-    spec.validate()
-    return spec
+model_spec = functools.partial(_build, ModelSpec, "model")
+data_spec = functools.partial(_build, DataSpec, "data")
+search_config = functools.partial(_build, SearchConfig, "search")
+cluster_spec = functools.partial(_build, ClusterSpec, "cluster")

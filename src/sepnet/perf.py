@@ -30,9 +30,9 @@ _DTYPE_BYTES = {"f32": 4, "f16": 2}
 
 @dataclass(frozen=True)
 class ClusterSpec:
-    num_nodes: int
-    flops_per_sec: float
-    bandwidth_bps: float
+    num_nodes: int = 4
+    flops_per_sec: float = 1.7e8
+    bandwidth_bps: float = 300e6
     overhead_s: float = 0.0
 
     def validate(self) -> None:

@@ -238,7 +238,6 @@ class WorkerConfig:
     policy_path: str
     dtype: str = "f32"
     recv_timeout: float = 30.0
-    connect_timeout: float = 15.0
 
     def validate(self) -> None:
         if not 0 <= self.node_id < self.num_nodes:
@@ -489,14 +488,6 @@ class Worker:
                 log.warning("node %d aborted an inference: %s: %s",
                             self.cfg.node_id, type(exc).__name__, exc)
                 self._abort_inference()
-
-    def stop(self) -> None:
-        self.stop_event.set()
-        if self.listener is not None:
-            try:
-                self.listener.close()
-            except OSError:
-                pass
 
 
 def set_blas_threads(n: int) -> int | None:

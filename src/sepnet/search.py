@@ -300,7 +300,7 @@ def run_search(cfg: SearchConfig, model_spec: ModelSpec, data: Dataset,
     if out_dir:
         ckpt.save_model(os.path.join(out_dir, "best.snnc"), net, ctl,
                         {"policy_ids": best["policy_ids"], "val_accuracy": best["accuracy"],
-                         "test_accuracy": final_acc}, policy=best_policy)
+                         "test_accuracy": final_acc})
         save_policy(os.path.join(out_dir, "best.policy"), best_policy)
         with open(os.path.join(out_dir, "run_log.jsonl"), "w", encoding="utf-8") as fh:
             for entry in log:

@@ -100,21 +100,6 @@ def test_controller_and_graph_share_container(tmp_path):
         assert n1 == n2 and np.array_equal(a1, a2)
 
 
-def test_attached_policy_round_trip(tmp_path):
-    from sepnet import policy as pol
-
-    net = models.Network(SPEC, seed=4)
-    p = pol.policy_from_ids([(1, 2), (0, 0)], 2, 1)
-    path = tmp_path / "withpolicy.snnc"
-    ckpt.save_model(path, net, policy=p)
-    loaded = ckpt.attached_policy(path)
-    assert loaded.ids() == p.ids()
-    assert ckpt.attached_policy(tmp_path / "withpolicy.snnc") is not None
-    plain = tmp_path / "plain.snnc"
-    ckpt.save_model(plain, net)
-    assert ckpt.attached_policy(plain) is None
-
-
 def test_partition_map_in_metadata(tmp_path):
     net = models.Network(SPEC, seed=4)
     path = tmp_path / "pm.snnc"
@@ -133,4 +118,19 @@ def test_missing_blob_rejected(tmp_path):
     path = tmp_path / "miss.snnc"
     ckpt.save_checkpoint(path, blobs, {"roles": {"graph": ckpt.graph_metadata(net)}})
     with pytest.raises(ConfigError, match="missing blob"):
+        ckpt.load_model(path)
+
+
+@pytest.mark.parametrize("edit", ["drop_key", "unknown_key"])
+def test_bad_model_spec_rejected(tmp_path, monkeypatch, edit):
+    net = models.Network(SPEC, seed=4)
+    meta = ckpt.graph_metadata(net)
+    if edit == "drop_key":
+        del meta["spec"]["alpha"]
+    else:
+        meta["spec"]["depth"] = 5
+    monkeypatch.setattr(ckpt, "graph_metadata", lambda _net: meta)
+    path = tmp_path / "badspec.snnc"
+    ckpt.save_model(path, net)
+    with pytest.raises(ConfigError, match="model spec"):
         ckpt.load_model(path)

@@ -1,13 +1,15 @@
 import json
 import os
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sepnet import checkpoint as ckpt
 from sepnet import cli, config, models, report
-from sepnet import policy as pol
+from sepnet.data import DataSpec
 from sepnet.errors import ConfigError
+from sepnet.perf import ClusterSpec
+from sepnet.search import SearchConfig
 
 TINY_CFG = """
 # tiny desk model
@@ -42,7 +44,75 @@ def tiny_cfg(tmp_path):
     return str(path)
 
 
+# the file format: every key with its type and default, which configuration
+# files and resolved_config.txt depend on
+FILE_FORMAT = {
+    "model.stages": (int, 3), "model.blocks_per_stage": (int, 6),
+    "model.cardinality": (int, 8), "model.bottleneck_width": (int, 16),
+    "model.filter_size": (int, 3), "model.partitions": (int, 1),
+    "model.num_classes": (int, 100), "model.alpha": (int, 2), "model.in_channels": (int, 3),
+    "model.in_h": (int, 32), "model.in_w": (int, 32),
+    "data.num_classes": (int, 8), "data.channels": (int, 3), "data.h": (int, 16),
+    "data.w": (int, 16), "data.train_pool": (int, 2000), "data.test_n": (int, 512),
+    "data.val_fraction": (float, 0.1), "data.noise": (float, 0.8),
+    "search.meta_iterations": (int, 10), "search.shared_steps": (int, 50),
+    "search.controller_steps": (int, 50), "search.candidates": (int, 20),
+    "search.monte_carlo_m": (int, 1), "search.shared_lr": (float, 0.05),
+    "search.controller_lr": (float, 0.3), "search.controller_hidden": (int, 100),
+    "search.baseline_decay": (float, 0.95), "search.entropy_coef": (float, 0.0),
+    "search.finetune_lr": (float, 1e-4), "search.finetune_epochs": (int, 5),
+    "search.batch_size": (int, 32), "search.reward_batch": (int, 64),
+    "search.levels": (int, 9), "search.p_min": (int, 50),
+    "cluster.nodes": (int, 4), "cluster.flops": (float, 1.7e8),
+    "cluster.bandwidth_bps": (float, 300e6), "cluster.overhead_s": (float, 0.0),
+    "seed": (int, 0), "out_dir": (str, "runs/out"),
+}
+
+_KEYS = st.sampled_from(sorted(FILE_FORMAT)) | st.text(max_size=12)
+_VALUES = st.sampled_from(["1", "-3", "0.5", "1e-4", "nan", "x", "", " 7 "]) | st.text(max_size=12)
+
+
+def _assert_known_typed(cfg: dict) -> None:
+    for key, value in cfg.items():
+        assert type(value) is FILE_FORMAT[key][0]
+
+
 class TestConfig:
+    def test_schema_matches_file_format(self):
+        assert len(config.SCHEMA) == 41
+        assert config.SCHEMA == FILE_FORMAT
+        for key, (want, default) in config.SCHEMA.items():
+            assert type(default) is want, key
+
+    def test_defaults_build_dataclass_defaults(self, monkeypatch):
+        monkeypatch.delenv("SEPNET_OUT_DIR", raising=False)
+        cfg = config.resolve(None, [])
+        assert config.model_spec(cfg) == models.ModelSpec()
+        assert config.data_spec(cfg) == DataSpec()
+        assert config.search_config(cfg) == SearchConfig()
+        assert config.cluster_spec(cfg) == ClusterSpec()
+
+    @settings(deadline=None, database=None)
+    @given(st.lists(st.tuples(_KEYS, _VALUES), max_size=6) | st.text(max_size=6), st.text())
+    def test_parse_config_text_total(self, lines, noise):
+        text = lines if isinstance(lines, str) else "\n".join(f"{k} = {v}" for k, v in lines)
+        for candidate in (text, text + "\n" + noise):
+            try:
+                cfg = config.parse_config_text(candidate)
+            except ConfigError:
+                continue
+            _assert_known_typed(cfg)
+
+    @settings(deadline=None, database=None)
+    @given(st.builds(lambda k, v: f"{k}={v}", _KEYS, _VALUES) | st.text())
+    def test_resolve_override_total(self, override):
+        try:
+            cfg = config.resolve(None, [override])
+        except ConfigError:
+            return
+        assert set(cfg) == set(FILE_FORMAT)
+        _assert_known_typed(cfg)
+
     def test_parse_values_and_comments(self):
         cfg = config.parse_config_text("model.stages = 2  # comment\n\n# full line\nseed = 9\n")
         assert cfg == {"model.stages": 2, "seed": 9}
@@ -108,6 +178,13 @@ class TestCommands:
                          "--flops", "1.7e8", "--bandwidth", "300e6"])
         assert code == 0
         assert "verdict: feasible" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, flag", [("commcost", "--alpha"),
+                                               ("feasibility", "--flops"),
+                                               ("feasibility", "--bandwidth")])
+    def test_zero_override_is_rejected(self, tiny_cfg, command, flag, capsys):
+        assert cli.main([command, "--config", tiny_cfg, flag, "0"]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_simulate_reports_speedup(self, tiny_cfg, capsys, tmp_path):
         out = tmp_path / "sim"
