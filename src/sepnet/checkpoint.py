@@ -11,7 +11,7 @@ Layout (all integers little-endian):
 Metadata JSON is written with sorted keys and blobs in insertion order, so
 saving the same content always produces byte-identical files. Loading
 verifies the magic, rejects newer format versions, and checks each blob's
-CRC32.
+CRC32. Every malformed file ends in a ``SepnetError``.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import struct
 import zlib
@@ -91,15 +92,25 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         raise ConfigError(f"not a checkpoint file: bad magic {magic!r}")
     if version > VERSION:
         raise ConfigError(f"checkpoint format version {version} is newer than supported {VERSION}")
-    metadata = json.loads(rd.take(meta_len, "metadata"))
+    try:
+        metadata = json.loads(rd.take(meta_len, "metadata"))
+    except (ValueError, RecursionError) as exc:  # also undecodable utf-8, deep nesting
+        raise ConfigError(f"checkpoint metadata is not valid JSON: {exc}") from exc
+    if not isinstance(metadata, dict):
+        raise ConfigError("checkpoint metadata is not a JSON object")
     (count,) = struct.unpack("<I", rd.take(4, "blob count"))
     blobs: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = _BLOB_NAME.unpack(rd.take(2, "blob name length"))
-        name = rd.take(name_len, "blob name").decode("utf-8")
+        try:
+            name = rd.take(name_len, "blob name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"checkpoint blob name is not utf-8: {exc}") from exc
         (ndim,) = _BLOB_DIMS.unpack(rd.take(1, "blob rank"))
         dims = struct.unpack(f"<{ndim}I", rd.take(4 * ndim, "blob dims"))
         crc, payload_len = _BLOB_TAIL.unpack(rd.take(8, "blob trailer"))
+        if payload_len != 4 * math.prod(dims):
+            raise ConfigError(f"blob {name!r} has {payload_len} payload bytes for dims {dims}")
         data = rd.take(payload_len, f"blob {name!r} payload")
         if zlib.crc32(data) != crc:
             raise ChecksumError(f"checksum mismatch for blob {name!r}")
@@ -127,25 +138,33 @@ def graph_metadata(net) -> dict:
     }
 
 
-def restore_graph(meta: dict, blobs: dict[str, np.ndarray]):
-    from .models import ModelSpec, Network
-
-    info = meta.get("spec")
-    names = {f.name for f in dataclasses.fields(ModelSpec)}
-    if not isinstance(info, dict) or set(info) != names:
-        raise ConfigError(f"bad checkpoint model spec {info!r}; expected keys {sorted(names)}")
-    spec = ModelSpec(**{**info, "in_hw": tuple(info["in_hw"])})
-    spec.validate()
-    net = Network(spec, seed=0)
-    expected = dict(net.named_params()) | dict(net.named_state())
-    for name, arr in expected.items():
-        key = f"graph/{name}"
+def _fill(named, blobs: dict[str, np.ndarray], role: str) -> None:
+    """Copy blob ``role/name`` into each (name, array), checking it exists and fits."""
+    for name, arr in named:
+        key = f"{role}/{name}"
         if key not in blobs:
             raise ConfigError(f"checkpoint is missing blob {key!r}")
         src = blobs[key]
         if src.shape != arr.shape:
             raise ConfigError(f"blob {key!r} has shape {src.shape}, expected {arr.shape}")
         arr[...] = src
+
+
+def restore_graph(meta: dict, blobs: dict[str, np.ndarray]):
+    from .models import ModelSpec, Network
+
+    info = meta.get("spec") if isinstance(meta, dict) else None
+    names = {f.name for f in dataclasses.fields(ModelSpec)}
+    if not isinstance(info, dict) or set(info) != names:
+        raise ConfigError(f"bad checkpoint model spec {info!r}; expected keys {sorted(names)}")
+    try:
+        h, w = info["in_hw"]
+        spec = ModelSpec(**{**info, "in_hw": (h, w)})
+        spec.validate()
+        net = Network(spec, seed=0)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad checkpoint model spec {info!r}: {exc}") from exc
+    _fill([*net.named_params(), *net.named_state()], blobs, "graph")
     if meta.get("bn_initialized"):
         net.mark_bn_initialized()
     return net
@@ -155,21 +174,22 @@ def controller_blobs(ctl) -> dict[str, np.ndarray]:
     return {f"controller/{name}": arr for name, arr in ctl.params()}
 
 
+# the Controller arguments a checkpoint records; its weights are blobs
+_CONTROLLER_ARGS = ("g", "levels", "p_min", "hidden", "entropy_coef")
+
+
 def controller_metadata(ctl) -> dict:
-    return {"g": ctl.g, "levels": ctl.levels, "p_min": ctl.p_min,
-            "hidden": ctl.hidden, "entropy_coef": ctl.entropy_coef}
+    return {key: getattr(ctl, key) for key in _CONTROLLER_ARGS}
 
 
 def restore_controller(meta: dict, blobs: dict[str, np.ndarray]):
     from .controller import Controller
 
-    ctl = Controller(g=meta["g"], levels=meta["levels"], p_min=meta["p_min"],
-                     hidden=meta["hidden"], entropy_coef=meta.get("entropy_coef", 0.0))
-    for name, arr in ctl.params():
-        key = f"controller/{name}"
-        if key not in blobs:
-            raise ConfigError(f"checkpoint is missing blob {key!r}")
-        arr[...] = blobs[key]
+    try:
+        ctl = Controller(**{key: meta[key] for key in _CONTROLLER_ARGS if key in meta})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad checkpoint controller {meta!r}: {exc}") from exc
+    _fill(ctl.params(), blobs, "controller")
     return ctl
 
 
@@ -192,6 +212,8 @@ def load_model(path):
     """Return (net or None, controller or None, extra metadata)."""
     meta, blobs = load_checkpoint(path)
     roles = meta.get("roles", {})
+    if not isinstance(roles, dict):
+        raise ConfigError("checkpoint roles are not a JSON object")
     net = restore_graph(roles["graph"], blobs) if "graph" in roles else None
     ctl = restore_controller(roles["controller"], blobs) if "controller" in roles else None
     return net, ctl, meta.get("extra", {})

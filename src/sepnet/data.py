@@ -8,6 +8,7 @@ same seed, so splits are deterministic and disjoint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,8 @@ class DataSpec:
             raise ConfigError(f"image size {self.hw} must be divisible by 4")
         if not 0 < self.val_fraction < 1:
             raise ConfigError("val_fraction must be in (0, 1)")
+        if not math.isfinite(self.noise):
+            raise ConfigError("noise must be finite")
         if self.train_pool < 20 or self.test_n < 1:
             raise ConfigError("dataset too small")
 

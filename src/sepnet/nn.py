@@ -5,11 +5,13 @@ width), row-major with batch outermost. Layers are stateful objects with
 explicit ``forward``/``backward`` methods; ``forward`` caches what the
 matching ``backward`` needs, gradients accumulate into per-layer buffers.
 
-Layers that sit on the partition boundary of a separable network store
-their weights as one array per partition. The convolution kernel iterates
-channel groups in a fixed global order and feeds each group a freshly
-copied contiguous buffer, so running a single partition's slice of the
-network reproduces the full-width forward pass bit for bit.
+A layer holds one array per weight, gradient and statistic; partition p
+of G owns rows ``p*n ... (p+1)*n`` of each (n = rows / G), and ``slice(p)``
+returns a layer of views of them, which sees live running statistics. The
+convolution kernel iterates channel groups in a fixed global order and
+feeds each group a freshly copied contiguous buffer, so running a single
+partition's slice of the network reproduces the full-width forward pass
+bit for bit.
 """
 
 from __future__ import annotations
@@ -28,6 +30,20 @@ def check_tensor4(x: np.ndarray, name: str = "input") -> None:
         raise ShapeError(f"{name} must be a 4-d array, got {getattr(x, 'shape', None)}")
     if x.dtype != F32:
         raise ShapeError(f"{name} must be float32, got {x.dtype}")
+
+
+def _rows(arr: np.ndarray, p: int, parts: int) -> np.ndarray:
+    """Partition ``p``'s rows of ``arr``, as a view."""
+    n = len(arr) // parts
+    return arr[p * n : (p + 1) * n]
+
+
+def _partition_views(pairs, parts: int) -> list[tuple[str, np.ndarray]]:
+    """Per-partition row views of (name, array) pairs, partition-major, named
+    ``name0``, ``name1``, ...; unchanged for one partition."""
+    if parts == 1:
+        return list(pairs)
+    return [(f"{name}{p}", _rows(arr, p, parts)) for p in range(parts) for name, arr in pairs]
 
 
 def _im2col(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
@@ -58,8 +74,8 @@ def _col2im_add(dcols: np.ndarray, dxp: np.ndarray, k: int, stride: int, ho: int
 class Conv2d:
     """Grouped 2-d convolution, no bias.
 
-    3x3 kernels use zero padding 1 ("same"); 1x1 kernels use none. Weights
-    are stored per partition; ``groups`` must be divisible by ``partitions``.
+    3x3 kernels use zero padding 1 ("same"); 1x1 kernels use none. Group g
+    is weight rows ``g*og ... (g+1)*og``; ``partitions`` must divide ``groups``.
     """
 
     def __init__(self, in_ch: int, out_ch: int, ksize: int, stride: int = 1,
@@ -73,16 +89,13 @@ class Conv2d:
         self.groups, self.partitions = groups, partitions
         self.pad = (ksize - 1) // 2
         cg = in_ch // groups
-        op = out_ch // partitions
+        shape = (out_ch, cg, ksize, ksize)
         std = float(np.sqrt(2.0 / (cg * ksize * ksize)))
-        self.w = []
-        for _ in range(partitions):
-            if rng is None:
-                arr = np.zeros((op, cg, ksize, ksize), dtype=F32)
-            else:
-                arr = (rng.standard_normal((op, cg, ksize, ksize)) * std).astype(F32)
-            self.w.append(arr)
-        self.gw = [np.zeros_like(a) for a in self.w]
+        if rng is None:
+            self.w = np.zeros(shape, dtype=F32)
+        else:
+            self.w = (rng.standard_normal(shape) * std).astype(F32)
+        self.gw = np.zeros_like(self.w)
         self._cache = None
 
     def out_hw(self, h: int, w: int) -> tuple[int, int]:
@@ -103,12 +116,11 @@ class Conv2d:
         cg = self.in_ch // self.groups
         og = self.out_ch // self.groups
         k2 = self.ksize * self.ksize
-        gpp = self.groups // self.partitions
         cols = []
         for g in range(self.groups):
             xg = xp[:, g * cg : (g + 1) * cg]
             cg_cols = _im2col(xg, self.ksize, self.stride, ho, wo)
-            wg = self.w[g // gpp][(g % gpp) * og : (g % gpp + 1) * og].reshape(og, cg * k2)
+            wg = self.w[g * og : (g + 1) * og].reshape(og, cg * k2)
             y[:, g * og : (g + 1) * og] = np.matmul(wg, cg_cols).reshape(b, og, ho, wo)
             cols.append(cg_cols if train else None)
         self._cache = (x.shape, cols, ho, wo) if train else None
@@ -124,13 +136,12 @@ class Conv2d:
         cg = self.in_ch // self.groups
         og = self.out_ch // self.groups
         k2 = self.ksize * self.ksize
-        gpp = self.groups // self.partitions
         dxp = np.zeros((b, self.in_ch, hp, wp), dtype=F32)
         for g in range(self.groups):
             dyg = dy[:, g * og : (g + 1) * og].reshape(b, og, ho * wo)
-            wg = self.w[g // gpp][(g % gpp) * og : (g % gpp + 1) * og].reshape(og, cg * k2)
+            wg = self.w[g * og : (g + 1) * og].reshape(og, cg * k2)
             dwg = np.matmul(dyg, cols[g].transpose(0, 2, 1)).sum(axis=0)
-            self.gw[g // gpp][(g % gpp) * og : (g % gpp + 1) * og] += dwg.reshape(og, cg, self.ksize, self.ksize)
+            self.gw[g * og : (g + 1) * og] += dwg.reshape(og, cg, self.ksize, self.ksize)
             dcols = np.matmul(wg.T, dyg)
             _col2im_add(dcols, dxp[:, g * cg : (g + 1) * cg], self.ksize, self.stride, ho, wo)
         self._cache = None
@@ -139,28 +150,23 @@ class Conv2d:
         return dxp
 
     def slice(self, p: int) -> "Conv2d":
-        """Partition ``p`` as a one-partition conv that shares its arrays."""
+        """Partition ``p`` as a one-partition conv of views of its rows."""
         part = copy.copy(self)
         g = self.partitions
         part.in_ch, part.out_ch, part.groups = self.in_ch // g, self.out_ch // g, self.groups // g
         part.partitions = 1
-        part.w, part.gw = [self.w[p]], [self.gw[p]]
+        part.w, part.gw = _rows(self.w, p, g), _rows(self.gw, p, g)
         part._cache = None
         return part
 
     def params(self):
-        if self.partitions == 1:
-            return [("w", self.w[0])]
-        return [(f"w{p}", self.w[p]) for p in range(self.partitions)]
+        return _partition_views([("w", self.w)], self.partitions)
 
     def grads(self):
-        if self.partitions == 1:
-            return [("w", self.gw[0])]
-        return [(f"w{p}", self.gw[p]) for p in range(self.partitions)]
+        return _partition_views([("w", self.gw)], self.partitions)
 
     def zero_grad(self):
-        for g in self.gw:
-            g[...] = 0.0
+        self.gw[...] = 0.0
 
 
 def channel_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -190,13 +196,12 @@ class BatchNorm2d:
         if partitions < 1 or channels % partitions:
             raise ConfigError(f"partitions={partitions} must divide channels={channels}")
         self.channels, self.partitions = channels, partitions
-        cp = channels // partitions
-        self.gamma = [np.ones(cp, dtype=F32) for _ in range(partitions)]
-        self.beta = [np.zeros(cp, dtype=F32) for _ in range(partitions)]
-        self.rmean = [np.zeros(cp, dtype=F32) for _ in range(partitions)]
-        self.rvar = [np.ones(cp, dtype=F32) for _ in range(partitions)]
-        self.ggamma = [np.zeros(cp, dtype=F32) for _ in range(partitions)]
-        self.gbeta = [np.zeros(cp, dtype=F32) for _ in range(partitions)]
+        self.gamma = np.ones(channels, dtype=F32)
+        self.beta = np.zeros(channels, dtype=F32)
+        self.rmean = np.zeros(channels, dtype=F32)
+        self.rvar = np.ones(channels, dtype=F32)
+        self.ggamma = np.zeros(channels, dtype=F32)
+        self.gbeta = np.zeros(channels, dtype=F32)
         self.initialized = False
         self._cache = None
 
@@ -204,94 +209,64 @@ class BatchNorm2d:
         check_tensor4(x)
         if x.shape[1] != self.channels:
             raise ShapeError(f"batchnorm expects {self.channels} channels, got {x.shape[1]}")
-        cp = self.channels // self.partitions
-        y = np.empty_like(x)
         if train:
-            caches = []
-            for p in range(self.partitions):
-                xs = x[:, p * cp : (p + 1) * cp]
-                mean, var = channel_stats(xs)
-                inv = (1.0 / np.sqrt(var + self.EPS)).astype(F32)
-                norm = (xs - mean[None, :, None, None]) * inv[None, :, None, None]
-                y[:, p * cp : (p + 1) * cp] = self.gamma[p][None, :, None, None] * norm + self.beta[p][None, :, None, None]
-                self.rmean[p] = (self.MOMENTUM * self.rmean[p] + (1 - self.MOMENTUM) * mean).astype(F32)
-                self.rvar[p] = (self.MOMENTUM * self.rvar[p] + (1 - self.MOMENTUM) * var).astype(F32)
-                caches.append((norm, inv))
+            mean, var = channel_stats(x)
+            inv = (1.0 / np.sqrt(var + self.EPS)).astype(F32)
+            norm = (x - mean[None, :, None, None]) * inv[None, :, None, None]
+            y = self.gamma[None, :, None, None] * norm + self.beta[None, :, None, None]
+            self.rmean[...] = self.MOMENTUM * self.rmean + (1 - self.MOMENTUM) * mean
+            self.rvar[...] = self.MOMENTUM * self.rvar + (1 - self.MOMENTUM) * var
             self.initialized = True
-            self._cache = caches
+            self._cache = (norm, inv)
         else:
             if not self.initialized:
                 raise UninitializedStatsError(
                     "batchnorm eval requested before any statistics were recorded")
-            for p in range(self.partitions):
-                xs = x[:, p * cp : (p + 1) * cp]
-                inv = (1.0 / np.sqrt(self.rvar[p] + self.EPS)).astype(F32)
-                scale = self.gamma[p] * inv
-                shift = self.beta[p] - self.rmean[p] * scale
-                y[:, p * cp : (p + 1) * cp] = xs * scale[None, :, None, None] + shift[None, :, None, None]
+            inv = (1.0 / np.sqrt(self.rvar + self.EPS)).astype(F32)
+            scale = self.gamma * inv
+            shift = self.beta - self.rmean * scale
+            y = x * scale[None, :, None, None] + shift[None, :, None, None]
             self._cache = None
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise SepnetError("batchnorm backward called without a train-mode forward")
-        cp = self.channels // self.partitions
-        dx = np.empty_like(dy)
-        for p in range(self.partitions):
-            norm, inv = self._cache[p]
-            dyp = dy[:, p * cp : (p + 1) * cp]
-            n = dyp.shape[0] * dyp.shape[2] * dyp.shape[3]
-            dg = (dyp * norm).sum(axis=(0, 2, 3))
-            db = dyp.sum(axis=(0, 2, 3))
-            self.ggamma[p] += dg.astype(F32)
-            self.gbeta[p] += db.astype(F32)
-            coef = (self.gamma[p] * inv / n)[None, :, None, None]
-            dx[:, p * cp : (p + 1) * cp] = coef * (
-                n * dyp - db[None, :, None, None] - norm * dg[None, :, None, None])
+        norm, inv = self._cache
+        n = dy.shape[0] * dy.shape[2] * dy.shape[3]
+        dg = (dy * norm).sum(axis=(0, 2, 3))
+        db = dy.sum(axis=(0, 2, 3))
+        self.ggamma += dg.astype(F32)
+        self.gbeta += db.astype(F32)
+        coef = (self.gamma * inv / n)[None, :, None, None]
+        dx = coef * (n * dy - db[None, :, None, None] - norm * dg[None, :, None, None])
         self._cache = None
         return dx
 
     def slice(self, p: int) -> "BatchNorm2d":
-        """Partition ``p`` as a one-partition batchnorm that shares its arrays.
+        """Partition ``p`` as a one-partition batchnorm of views of its rows.
 
-        Train mode rebinds the running statistics to new arrays, so a slice
-        reads the statistics current when it was taken."""
+        Train mode updates the running statistics in place, so a slice reads
+        the live statistics, not those current when it was taken."""
         part = copy.copy(self)
         part.channels, part.partitions = self.channels // self.partitions, 1
         for name in ("gamma", "beta", "rmean", "rvar", "ggamma", "gbeta"):
-            setattr(part, name, [getattr(self, name)[p]])
+            setattr(part, name, _rows(getattr(self, name), p, self.partitions))
         part._cache = None
         return part
 
-    def _suffix(self, base: str, p: int) -> str:
-        return base if self.partitions == 1 else f"{base}{p}"
-
     def params(self):
-        out = []
-        for p in range(self.partitions):
-            out.append((self._suffix("gamma", p), self.gamma[p]))
-            out.append((self._suffix("beta", p), self.beta[p]))
-        return out
+        return _partition_views([("gamma", self.gamma), ("beta", self.beta)], self.partitions)
 
     def grads(self):
-        out = []
-        for p in range(self.partitions):
-            out.append((self._suffix("gamma", p), self.ggamma[p]))
-            out.append((self._suffix("beta", p), self.gbeta[p]))
-        return out
+        return _partition_views([("gamma", self.ggamma), ("beta", self.gbeta)], self.partitions)
 
     def state(self):
-        out = []
-        for p in range(self.partitions):
-            out.append((self._suffix("rmean", p), self.rmean[p]))
-            out.append((self._suffix("rvar", p), self.rvar[p]))
-        return out
+        return _partition_views([("rmean", self.rmean), ("rvar", self.rvar)], self.partitions)
 
     def zero_grad(self):
-        for g in self.ggamma:
-            g[...] = 0.0
-        for g in self.gbeta:
-            g[...] = 0.0
+        self.ggamma[...] = 0.0
+        self.gbeta[...] = 0.0
 
 
 class ReLU:

@@ -38,9 +38,10 @@ class ClusterSpec:
     def validate(self) -> None:
         if self.num_nodes < 1:
             raise ConfigError("cluster needs at least one node")
-        if self.flops_per_sec <= 0 or self.bandwidth_bps <= 0:
+        # written so that NaN fails each check
+        if not (self.flops_per_sec > 0 and self.bandwidth_bps > 0):
             raise ConfigError("compute rate and bandwidth must be positive")
-        if self.overhead_s < 0:
+        if not self.overhead_s >= 0:
             raise ConfigError("per-message overhead must be >= 0")
 
 

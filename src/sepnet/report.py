@@ -16,17 +16,19 @@ from .errors import ConfigError
 
 def _load_log(path: str) -> list[dict]:
     entries = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
                 entry = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # also bytes that are not utf-8
                 raise ConfigError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-            if "iteration" not in entry or "stage" not in entry:
-                raise ConfigError(f"{path}:{lineno}: log entry missing iteration/stage")
+            if not (isinstance(entry, dict) and isinstance(entry.get("iteration"), int)
+                    and isinstance(entry.get("stage"), str)):
+                raise ConfigError(f"{path}:{lineno}: log entry missing an int iteration "
+                                  "or a str stage")
             entries.append(entry)
     if not entries:
         raise ConfigError(f"{path}: empty run log")

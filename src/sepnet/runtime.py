@@ -589,7 +589,7 @@ class Coordinator:
             if report_meta.step_index == wire.STEP_TIMING:
                 values = wire.decode_msg(report_raw)[0].reshape(-1)
                 timing = dict(zip(TIMING_FIELDS, (float(v) for v in values)))
-        except (OSError, PeerFailureError) as exc:
+        except (OSError, SepnetError) as exc:
             raise PeerFailureError(f"inference failed: {exc}") from exc
         timing["broadcast"] = broadcast_s
         timing["round_trip"] = time.perf_counter() - t0

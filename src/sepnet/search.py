@@ -55,8 +55,11 @@ class SearchConfig:
                   self.candidates, self.monte_carlo_m, self.batch_size, self.reward_batch)
         if any(c < 1 for c in counts):
             raise ConfigError("all search counts must be >= 1")
-        if min(self.shared_lr, self.controller_lr, self.finetune_lr) <= 0:
+        # written so that NaN fails each check
+        if not all(lr > 0 for lr in (self.shared_lr, self.controller_lr, self.finetune_lr)):
             raise ConfigError("learning rates must be positive")
+        if not (math.isfinite(self.baseline_decay) and math.isfinite(self.entropy_coef)):
+            raise ConfigError("baseline_decay and entropy_coef must be finite")
 
 
 @dataclass

@@ -86,8 +86,8 @@ def test_criterion_3_gradients(rng):
         conv.zero_grad()
         conv.forward(x, train=True)
         dx = conv.backward(proj)
-        idx, fd = finite_diff(loss, conv.w[0], samples=30, rng=rng)
-        assert rel_err(fd, conv.gw[0].reshape(-1)[idx]).max() <= 1e-3
+        idx, fd = finite_diff(loss, conv.w, samples=30, rng=rng)
+        assert rel_err(fd, conv.gw.reshape(-1)[idx]).max() <= 1e-3
         idx, fd = finite_diff(loss, x, samples=30, rng=rng)
         assert rel_err(fd, dx.reshape(-1)[idx]).max() <= 1e-3
 

@@ -1,8 +1,16 @@
+import copy
+import functools
 import io
+import json
 import os
+import struct
+import tempfile
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepnet import checkpoint as ckpt
 from sepnet import models
@@ -121,16 +129,115 @@ def test_missing_blob_rejected(tmp_path):
         ckpt.load_model(path)
 
 
-@pytest.mark.parametrize("edit", ["drop_key", "unknown_key"])
+@pytest.mark.parametrize("edit", ["drop_key", "unknown_key", "in_hw_int"])
 def test_bad_model_spec_rejected(tmp_path, monkeypatch, edit):
     net = models.Network(SPEC, seed=4)
     meta = ckpt.graph_metadata(net)
     if edit == "drop_key":
         del meta["spec"]["alpha"]
-    else:
+    elif edit == "unknown_key":
         meta["spec"]["depth"] = 5
+    else:
+        meta["spec"]["in_hw"] = 8
     monkeypatch.setattr(ckpt, "graph_metadata", lambda _net: meta)
     path = tmp_path / "badspec.snnc"
     ckpt.save_model(path, net)
     with pytest.raises(ConfigError, match="model spec"):
         ckpt.load_model(path)
+
+
+def _raw_file(meta: bytes, blobs=()) -> bytes:
+    """Checkpoint bytes with verbatim metadata and (name, dims, payload) blobs."""
+    parts = [ckpt._HEAD.pack(ckpt.MAGIC, ckpt.VERSION, len(meta)), meta,
+             struct.pack("<I", len(blobs))]
+    for name, dims, payload in blobs:
+        parts += [struct.pack("<H", len(name)), name.encode(),
+                  struct.pack(f"<B{len(dims)}I", len(dims), *dims),
+                  struct.pack("<II", zlib.crc32(payload), len(payload)), payload]
+    return b"".join(parts)
+
+
+def _controller_without_hidden() -> bytes:
+    ctl = Controller(g=2, levels=3, hidden=8, seed=1)
+    meta = ckpt.controller_metadata(ctl)
+    del meta["hidden"]
+    blobs = [(name, arr.shape, arr.tobytes()) for name, arr in ckpt.controller_blobs(ctl).items()]
+    return _raw_file(json.dumps({"roles": {"controller": meta}}).encode(), blobs)
+
+
+@pytest.mark.parametrize("case", ["metadata_not_json", "payload_not_whole_floats",
+                                  "dims_disagree_with_payload", "metadata_is_list",
+                                  "controller_without_hidden"])
+def test_corrupt_file_is_config_error(tmp_path, case):
+    data = {
+        "metadata_not_json": lambda: _raw_file(b"{not json"),
+        "payload_not_whole_floats": lambda: _raw_file(b"{}", [("w", (1,), bytes(5))]),
+        "dims_disagree_with_payload": lambda: _raw_file(b"{}", [("w", (3,), bytes(8))]),
+        "metadata_is_list": lambda: _raw_file(b"[]"),
+        "controller_without_hidden": _controller_without_hidden,
+    }[case]()
+    path = tmp_path / "bad.snnc"
+    path.write_bytes(data)
+    with pytest.raises(ConfigError):
+        ckpt.load_model(path)
+
+
+@functools.cache
+def _valid_file() -> tuple[bytes, dict, dict]:
+    """A graph-and-controller checkpoint: its bytes, metadata and blobs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ok.snnc")
+        ckpt.save_model(path, models.Network(SPEC, seed=4),
+                        Controller(g=2, levels=3, hidden=8, seed=1), {"note": 1})
+        with open(path, "rb") as fh:
+            return (fh.read(), *ckpt.load_checkpoint(path))
+
+
+# small values only: a spec or controller read from metadata sizes the arrays it builds
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 40) | st.floats(-2, 40) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def _checkpoint_bytes(draw):
+    """Arbitrary bytes or metadata, a valid file with bytes changed and cut,
+    or a valid file with one metadata value replaced or deleted."""
+    kind = draw(st.sampled_from(["raw", "json", "bytes", "metadata"]))
+    if kind == "raw":
+        return draw(st.binary(max_size=64))
+    if kind == "json":
+        return _raw_file(json.dumps(draw(_JSON)).encode())
+    good, meta, blobs = _valid_file()
+    if kind == "bytes":
+        data = bytearray(good)
+        for pos, value in draw(st.lists(st.tuples(st.integers(0, len(data) - 1),
+                                                  st.integers(0, 255)), max_size=4)):
+            data[pos] = value
+        return bytes(data[: draw(st.integers(0, len(data)))])
+    meta = copy.deepcopy(meta)
+    roles = meta["roles"]
+    target = draw(st.sampled_from([meta, roles, roles["graph"], roles["graph"]["spec"],
+                                   roles["controller"]]))
+    key = draw(st.sampled_from(sorted(target)))
+    if draw(st.booleans()):
+        del target[key]
+    else:
+        target[key] = draw(_JSON)
+    return _raw_file(json.dumps(meta).encode(),
+                     [(name, arr.shape, arr.tobytes()) for name, arr in blobs.items()])
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_checkpoint_bytes())
+def test_load_is_total_on_any_file(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "x.snnc")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        for load in (ckpt.load_checkpoint, ckpt.load_model):
+            try:
+                load(path)
+            except SepnetError:
+                pass

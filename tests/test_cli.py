@@ -2,12 +2,12 @@ import json
 import os
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sepnet import cli, config, models, report
 from sepnet.data import DataSpec
-from sepnet.errors import ConfigError
+from sepnet.errors import ConfigError, SepnetError
 from sepnet.perf import ClusterSpec
 from sepnet.search import SearchConfig
 
@@ -113,6 +113,14 @@ class TestConfig:
         assert set(cfg) == set(FILE_FORMAT)
         _assert_known_typed(cfg)
 
+    @pytest.mark.parametrize("key", sorted(k for k, (want, _) in FILE_FORMAT.items() if want is float))
+    def test_nan_float_rejected(self, key):
+        build = {"data": config.data_spec, "search": config.search_config,
+                 "cluster": config.cluster_spec}[key.split(".")[0]]
+        cfg = config.resolve(None, [f"{key}=nan"])
+        with pytest.raises(ConfigError):
+            build(cfg)
+
     def test_parse_values_and_comments(self):
         cfg = config.parse_config_text("model.stages = 2  # comment\n\n# full line\nseed = 9\n")
         assert cfg == {"model.stages": 2, "seed": 9}
@@ -165,6 +173,18 @@ class TestCommands:
                          "--checkpoint", "m.snnc", "--policy", "p.policy"]) == 1
         assert "node=host:port" in capsys.readouterr().err
 
+    @settings(deadline=None, database=None)
+    @given(st.text(max_size=30) | st.lists(
+        st.tuples(st.integers(-2, 9) | st.text(max_size=3), st.text(max_size=6),
+                  st.integers(-1, 70000) | st.text(max_size=3)),
+        max_size=4).map(lambda items: ",".join(f"{n}={h}:{p}" for n, h, p in items)))
+    def test_parse_peers_total(self, text):
+        try:
+            peers = cli._parse_peers(text)
+        except cli.UsageError:
+            return
+        assert all(type(n) is int and type(port) is int for n, (_, port) in peers.items())
+
     def test_missing_config_is_runtime_error(self):
         assert cli.main(["build", "--config", "/nonexistent/x.cfg"]) == 2
 
@@ -184,6 +204,11 @@ class TestCommands:
                                                ("feasibility", "--bandwidth")])
     def test_zero_override_is_rejected(self, tiny_cfg, command, flag, capsys):
         assert cli.main([command, "--config", tiny_cfg, flag, "0"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--flops", "--bandwidth", "--overhead"])
+    def test_nan_override_is_rejected(self, tiny_cfg, flag, capsys):
+        assert cli.main(["feasibility", "--config", tiny_cfg, flag, "nan"]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_simulate_reports_speedup(self, tiny_cfg, capsys, tmp_path):
@@ -254,6 +279,28 @@ class TestReportTool:
         bad.write_text('{"loss": 1.0}\n')
         with pytest.raises(ConfigError, match="missing"):
             report.emit_report([str(bad)], str(tmp_path / "out"))
+
+    @pytest.mark.parametrize("line", ['5', '"iteration stage"', '{"iteration": [1], "stage": "x"}'])
+    def test_entry_not_an_object_with_int_iteration_rejected(self, tmp_path, line):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"iteration": 1, "stage": "select"}\n' + line + "\n")
+        with pytest.raises(ConfigError, match=f"{bad}:2"):
+            report.emit_report([str(bad)], str(tmp_path / "out"))
+
+    @settings(deadline=None, database=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.binary(max_size=60) | st.lists(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+            st.sampled_from(["iteration", "stage", "loss", "best_accuracy"]) | st.text(max_size=4),
+            inner, max_size=4),
+        max_leaves=8), max_size=4).map(lambda entries: "\n".join(json.dumps(e) for e in entries).encode()))
+    def test_load_log_total(self, tmp_path, data):
+        log = tmp_path / "log.jsonl"
+        log.write_bytes(data)
+        try:
+            report.series_from_log(str(log))
+        except SepnetError:
+            pass
 
     def test_two_logs_aligned_by_iteration(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -13,7 +13,7 @@ F32 = np.float32
 class TestConv:
     def test_identity_1x1(self):
         conv = nn.Conv2d(2, 2, 1)
-        conv.w[0] = np.eye(2, dtype=F32).reshape(2, 2, 1, 1)
+        conv.w[...] = np.eye(2, dtype=F32).reshape(2, 2, 1, 1)
         x = np.arange(8, dtype=F32).reshape(1, 2, 2, 2)
         assert np.array_equal(conv.forward(x), x)
 
@@ -27,7 +27,7 @@ class TestConv:
         dense = np.zeros((cout, cin, k, k), dtype=F32)
         cg, og = cin // groups, cout // groups
         for g in range(groups):
-            dense[g * og : (g + 1) * og, g * cg : (g + 1) * cg] = conv.w[0][g * og : (g + 1) * og]
+            dense[g * og : (g + 1) * og, g * cg : (g + 1) * cg] = conv.w[g * og : (g + 1) * og]
         want = ref_conv2d(x, dense, stride=1, pad=1)
         got = conv.forward(x)
         assert np.allclose(got, want, atol=1e-6)
@@ -36,7 +36,7 @@ class TestConv:
         conv = nn.Conv2d(3, 5, 3, stride=2, rng=rng)
         x = rng.standard_normal((2, 3, 6, 6)).astype(F32)
         got = conv.forward(x)
-        want = ref_conv2d(x, conv.w[0], stride=2, pad=1)
+        want = ref_conv2d(x, conv.w, stride=2, pad=1)
         assert got.shape == (2, 5, 3, 3)
         assert np.allclose(got, want, atol=1e-5)
 
@@ -82,8 +82,8 @@ class TestConv:
         conv.zero_grad()
         conv.forward(x, train=True)
         dx = conv.backward(proj)
-        idx, fd = finite_diff(loss, conv.w[0], samples=40, rng=rng)
-        assert rel_err(fd, conv.gw[0].reshape(-1)[idx]).max() <= 1e-3
+        idx, fd = finite_diff(loss, conv.w, samples=40, rng=rng)
+        assert rel_err(fd, conv.gw.reshape(-1)[idx]).max() <= 1e-3
 
         idx, fd = finite_diff(loss, x, samples=40, rng=rng)
         assert rel_err(fd, dx.reshape(-1)[idx]).max() <= 1e-3
@@ -93,7 +93,7 @@ class TestConv:
         x = rng.standard_normal((1, 3, 4, 4)).astype(F32)
         y = conv.forward(x, train=True)
         conv.backward(np.zeros_like(y))
-        assert not conv.gw[0].any()
+        assert not conv.gw.any()
 
     def test_slice_shares_arrays_and_matches_parent(self, rng):
         conv = nn.Conv2d(8, 12, 3, 2, groups=4, partitions=2, rng=rng)
@@ -102,7 +102,7 @@ class TestConv:
         for p in range(2):
             part = conv.slice(p)
             assert (part.in_ch, part.out_ch, part.groups, part.partitions) == (4, 6, 2, 1)
-            assert part.w[0] is conv.w[p] and part.gw[0] is conv.gw[p]
+            assert np.shares_memory(part.w, conv.w) and np.shares_memory(part.gw, conv.gw)
             assert np.array_equal(part.forward(x[:, 4 * p : 4 * (p + 1)]), y[:, 6 * p : 6 * (p + 1)])
 
 
@@ -115,7 +115,7 @@ class TestBatchNorm:
 
     def test_train_constant_input_returns_shift(self):
         bn = nn.BatchNorm2d(2)
-        bn.beta[0][:] = np.array([3.0, -1.0], dtype=F32)
+        bn.beta[:] = np.array([3.0, -1.0], dtype=F32)
         x = np.full((4, 2, 3, 3), 7.0, dtype=F32)
         y = bn.forward(x, train=True)
         assert np.allclose(y[:, 0], 3.0, atol=1e-2)
@@ -128,8 +128,8 @@ class TestBatchNorm:
         # mean 3, biased var 1: normalized values +-1/sqrt(1 + eps)
         want = 1.0 / np.sqrt(1.0 + bn.EPS)
         assert np.allclose(y.reshape(-1), [-want, want], atol=1e-6)
-        assert np.allclose(bn.rmean[0], 0.1 * 3.0, atol=1e-6)
-        assert np.allclose(bn.rvar[0], 0.9 * 1.0 + 0.1 * 1.0, atol=1e-6)
+        assert np.allclose(bn.rmean, 0.1 * 3.0, atol=1e-6)
+        assert np.allclose(bn.rvar, 0.9 * 1.0 + 0.1 * 1.0, atol=1e-6)
 
     def test_slice_shares_arrays_and_matches_parent(self, rng):
         bn = nn.BatchNorm2d(6, partitions=3)
@@ -140,8 +140,15 @@ class TestBatchNorm:
             part = bn.slice(p)
             assert (part.channels, part.partitions, part.initialized) == (2, 1, True)
             for name in ("gamma", "beta", "rmean", "rvar", "ggamma", "gbeta"):
-                assert getattr(part, name)[0] is getattr(bn, name)[p], name
+                assert np.shares_memory(getattr(part, name), getattr(bn, name)), name
             assert np.array_equal(part.forward(x[:, 2 * p : 2 * (p + 1)]), y[:, 2 * p : 2 * (p + 1)])
+
+    def test_slice_sees_live_running_statistics(self, rng):
+        bn = nn.BatchNorm2d(4, partitions=2)
+        part = bn.slice(1)
+        bn.forward(rng.standard_normal((4, 4, 3, 3)).astype(F32), train=True)
+        assert np.array_equal(part.rmean, bn.rmean[2:]) and np.array_equal(part.rvar, bn.rvar[2:])
+        assert not np.array_equal(part.rmean, np.zeros(2, dtype=F32))
 
     def test_eval_before_stats_raises(self):
         bn = nn.BatchNorm2d(2)
@@ -151,11 +158,11 @@ class TestBatchNorm:
     def test_running_var_strictly_positive(self):
         bn = nn.BatchNorm2d(2)
         bn.forward(np.zeros((2, 2, 2, 2), dtype=F32), train=True)
-        assert (bn.rvar[0] + bn.EPS > 0).all()
+        assert (bn.rvar + bn.EPS > 0).all()
 
     def test_backward_matches_finite_differences(self, rng):
         bn = nn.BatchNorm2d(3)
-        bn.gamma[0][:] = rng.standard_normal(3).astype(F32)
+        bn.gamma[:] = rng.standard_normal(3).astype(F32)
         x = rng.standard_normal((4, 3, 3, 3)).astype(F32)
         proj = rng.choice([-1.0, 1.0], size=x.shape).astype(F32)
 
@@ -167,9 +174,9 @@ class TestBatchNorm:
         dx = bn.backward(proj)
         idx, fd = finite_diff(loss, x, samples=30, rng=rng)
         assert rel_err(fd, dx.reshape(-1)[idx]).max() <= 1e-3
-        gsaved = bn.ggamma[0].copy()
+        gsaved = bn.ggamma.copy()
         bn.zero_grad()
-        idx, fd = finite_diff(loss, bn.gamma[0], samples=3, rng=rng)
+        idx, fd = finite_diff(loss, bn.gamma, samples=3, rng=rng)
         assert rel_err(fd, gsaved[idx]).max() <= 1e-3
 
 

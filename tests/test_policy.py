@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepnet import policy as pol
 from sepnet.errors import ConfigError
@@ -164,3 +166,19 @@ def test_sampled_sequences_always_validate(rng):
         p = pol.policy_from_ids(pairs, g, alpha)
         p.validate_for(blocks)
         assert pol.policy_from_text(pol.policy_to_text(p)).ids() == p.ids()
+
+
+_SMALL = st.integers(-2, 12).map(str) | st.text(max_size=3)
+
+
+@settings(deadline=None, database=None)
+@given(st.text(max_size=40) | st.builds(
+    lambda head, lines: "\n".join([" ".join(f"{k}={v}" for k, v in head), *map(" ".join, lines)]),
+    st.lists(st.tuples(st.sampled_from(["G", "alpha", "levels", "p_min"]) | st.text(max_size=2),
+                       _SMALL), max_size=5),
+    st.lists(st.lists(_SMALL, max_size=4), max_size=4)))
+def test_policy_from_text_total(text):
+    try:
+        pol.policy_from_text(text)
+    except ConfigError:
+        pass

@@ -208,6 +208,19 @@ def test_corrupt_frame_fails_waiting_inference_at_once():
         theirs.close()
 
 
+def test_corrupt_reply_fails_inference_as_peer_failure():
+    coord = runtime.Coordinator({}, "00" * 32, num_nodes=1, timeout=3.0)
+    mine, theirs = socket.socketpair()
+    coord.conns[0] = mine
+    try:
+        theirs.sendall(b"JUNK" + bytes(wire.HEADER.size - 4))
+        with pytest.raises(PeerFailureError, match="inference failed: bad magic"):
+            coord.infer(np.zeros((3, 4, 4), dtype=np.float32))
+    finally:
+        mine.close()
+        theirs.close()
+
+
 def test_recv_exact_reassembles_many_small_pieces():
     payload = bytes(range(256)) * 80
     mine, theirs = socket.socketpair()

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepnet import wire
-from sepnet.errors import FramingError, HandshakeError, ShapeError
+from sepnet.errors import FramingError, HandshakeError, SepnetError, ShapeError
 
 
 def make_chunk(rng, c=4, h=3, w=5):
@@ -132,3 +134,23 @@ class TestHandshake:
     def test_wrong_length(self):
         with pytest.raises(HandshakeError):
             wire.decode_handshake(b"SNNH")
+
+
+# a header with the right magic and version and any field values; small
+# dims, since a header with no payload still sizes the zero-filled chunk
+_HEADERS = st.builds(
+    lambda fields, tail: wire.HEADER.pack(wire.MAGIC, wire.VERSION, *fields) + tail,
+    st.tuples(st.integers(0, 0xFFFF), st.integers(0, 255), st.integers(0, 255),
+              st.integers(0, 255), st.integers(0, 64), st.integers(0, 64),
+              st.integers(0, 64), st.integers(0, 64), st.integers(0, 2**32 - 1)),
+    st.binary(max_size=64))
+
+
+@settings(deadline=None, database=None)
+@given(st.binary(max_size=64) | _HEADERS)
+def test_decoders_total_on_any_bytes(buf):
+    for decode in (wire.decode_header, wire.decode_msg, wire.decode_handshake):
+        try:
+            decode(buf)
+        except SepnetError:
+            pass
